@@ -171,7 +171,8 @@ class DagSssp:
         for v in range(self.n):
             if v != self.s and self.est[v] < INF:
                 eid = best[v]
-                assert eid is not None
+                if eid is None:
+                    raise AssertionError(f"reached vertex {v} has no parent edge")
                 self.parent_edge[v] = eid
                 self.children[self.tail[eid]].add(v)
         for eid in range(len(self.tail)):
@@ -257,7 +258,8 @@ class DagSssp:
                 if key <= self.est[a]:
                     if self.checked and key != self.est[a]:
                         raise AssertionError("attach below the current estimate")
-                    assert eid is not None
+                    if eid is None:
+                        raise AssertionError(f"vertex {a} attached without an edge")
                     self.parent_edge[a] = eid
                     self.children[self.tail[eid]].add(a)
                     break
@@ -315,7 +317,8 @@ class DagSssp:
         temp_ids: list[int] = []
         if self.est[v] is not INF:
             pe = self.parent_edge[v]
-            assert pe is not None
+            if pe is None:
+                raise AssertionError(f"vertex {v} has an estimate but no parent edge")
             x = self.tail[pe]
             for u in new_ids:
                 te = self._new_edge(x, u, self.ell0[pe], 1 << self.wclass[pe], temp=True)
@@ -387,7 +390,8 @@ class DagSssp:
         cur = self.t
         while cur != self.s:
             pe = self.parent_edge[cur]
-            assert pe is not None
+            if pe is None:
+                raise AssertionError(f"tree vertex {cur} has no parent edge")
             eids.append(pe)
             cur = self.tail[pe]
         eids.reverse()
@@ -482,7 +486,8 @@ class DagSssp:
                 cur = v
                 while cur != self.s:
                     pe = self.parent_edge[cur]
-                    assert pe is not None
+                    if pe is None:
+                        raise AssertionError(f"tree vertex {cur} has no parent edge")
                     total += self.lprime[pe]
                     cur = self.tail[pe]
                 if total * (k - 1) > self.est[v] * k:

@@ -16,27 +16,28 @@ from __future__ import annotations
 
 import heapq
 
+from .graph_core import DirectedGraph
+
 INF = float("inf")
 
 
-class EsTree:
+class EsTree(DirectedGraph):
+    """Shortest-path tree over its own edge set, which is fixed at construction.
+
+    Deleting an edge through the tree tombstones it in the graph and repairs
+    the levels.
+    """
+
     def __init__(self, n: int, edges: list[tuple[int, int, int]], root: int, depth: int):
         """edges: (tail, head, length) triples; edge ids are list positions."""
-        self.n = n
-        self.root = root
-        self.depth = depth
-        self.tail = [e[0] for e in edges]
-        self.head = [e[1] for e in edges]
-        self.length = [e[2] for e in edges]
-        for ln in self.length:
+        for _, _, ln in edges:
             if ln < 1 or ln != int(ln):
                 raise ValueError("edge lengths must be integers >= 1")
-        self.alive = [True] * len(edges)
-        self.in_adj: list[list[int]] = [[] for _ in range(n)]
-        self.out_adj: list[list[int]] = [[] for _ in range(n)]
-        for eid, (u, v, _) in enumerate(edges):
-            self.out_adj[u].append(eid)
-            self.in_adj[v].append(eid)
+        super().__init__(n)
+        for u, v, ln in edges:
+            self.add_edge(u, v, ln)
+        self.root = root
+        self.depth = depth
         self.level: list[float] = [INF] * n
         self.parent_edge: list[int | None] = [None] * n
         self.children: list[set[int]] = [set() for _ in range(n)]
@@ -73,14 +74,12 @@ class EsTree:
         for v in range(self.n):
             if v != self.root and dist[v] < INF:
                 eid = best_edge[v]
-                assert eid is not None
+                if eid is None:
+                    raise AssertionError(f"reached vertex {v} has no parent edge")
                 self.parent_edge[v] = eid
                 self.children[self.tail[eid]].add(v)
 
     # ---------------------------------------------------------------- queries
-
-    def in_tree(self, v: int) -> bool:
-        return self.level[v] < INF
 
     def path_to(self, v: int) -> list[int] | None:
         """Vertex sequence root..v of exact total length level(v), or None."""
@@ -89,7 +88,8 @@ class EsTree:
         seq = [v]
         while seq[-1] != self.root:
             eid = self.parent_edge[seq[-1]]
-            assert eid is not None
+            if eid is None:
+                raise AssertionError(f"tree vertex {seq[-1]} has no parent edge")
             seq.append(self.tail[eid])
         seq.reverse()
         return seq
@@ -101,7 +101,8 @@ class EsTree:
         cur = v
         while cur != self.root:
             eid = self.parent_edge[cur]
-            assert eid is not None
+            if eid is None:
+                raise AssertionError(f"tree vertex {cur} has no parent edge")
             out.append(eid)
             cur = self.tail[eid]
         out.reverse()
@@ -115,9 +116,7 @@ class EsTree:
     def delete_edges(self, eids: list[int]) -> None:
         orphans = []
         for eid in eids:
-            if not self.alive[eid]:
-                raise ValueError(f"edge {eid} already deleted")
-            self.alive[eid] = False
+            super().delete_edge(eid)
             v = self.head[eid]
             if self.parent_edge[v] == eid:
                 self.parent_edge[v] = None
@@ -174,7 +173,8 @@ class EsTree:
                 continue
             self.level[v] = best
             self.ptr[v] = 0
-            assert best_eid is not None
+            if best_eid is None:
+                raise AssertionError(f"vertex {v} has a finite level but no parent edge")
             self.parent_edge[v] = best_eid
             self.children[self.tail[best_eid]].add(v)
 

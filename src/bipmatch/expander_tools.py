@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .constants import Constants, log2c
 from .es_tree import EsTree, INF
-from .graph_core import CoreGraph, DirectedGraph
+from .graph_core import CoreGraph, DirectedGraph, shortcut_to_simple
 
 
 @dataclass
@@ -108,8 +108,8 @@ def _gabber_galil(q: int) -> set[tuple[int, int]]:
     return edges
 
 
-def construct_expander(n: int, cnst: Constants | None = None) -> DirectedGraph:
-    """Explicit constant-degree expander on n vertices.
+def expander_pairs(n: int, cnst: Constants | None = None) -> list[tuple[int, int]]:
+    """Sorted directed edges of an explicit constant-degree expander on n vertices.
 
     Gabber-Galil 8-regular base on q^2 >= n vertices, bidirected, with the
     q^2-n surplus vertices merged pairwise into retained ones; the merge at
@@ -118,23 +118,14 @@ def construct_expander(n: int, cnst: Constants | None = None) -> DirectedGraph:
     cnst = cnst or Constants.desk()
     if n <= 1:
         raise ValueError("expander needs at least 2 vertices")
-    if n == 2:
-        g = DirectedGraph(2)
-        g.add_edge(0, 1)
-        g.add_edge(1, 0)
-        return g
-    if n == 3:
-        g = DirectedGraph(3)
-        for u in range(3):
-            for v in range(3):
-                if u != v:
-                    g.add_edge(u, v)
-        return g
+    if n <= 3:
+        return [(u, v) for u in range(n) for v in range(n) if u != v]
     q = math.isqrt(n)
     if q * q < n:
         q += 1
     surplus = q * q - n
-    assert surplus <= n
+    if surplus > n:
+        raise AssertionError("surplus exceeds the vertex count")
 
     def collapse(v: int) -> int:
         # vertex q^2-1-i is merged into vertex i, for i < surplus
@@ -147,55 +138,55 @@ def construct_expander(n: int, cnst: Constants | None = None) -> DirectedGraph:
         cu, cv = collapse(u), collapse(v)
         if cu != cv:
             pairs.add((cu, cv))
-    g = DirectedGraph(n)
-    for u, v in sorted(pairs):
-        g.add_edge(u, v)
+    out_deg = [0] * n
+    in_deg = [0] * n
+    for u, v in pairs:
+        out_deg[u] += 1
+        in_deg[v] += 1
     for v in range(n):
-        if g.live_out[v] > cnst.degree_bound or g.live_in[v] > cnst.degree_bound:
+        if out_deg[v] > cnst.degree_bound or in_deg[v] > cnst.degree_bound:
             raise AssertionError(f"expander degree bound violated at vertex {v}")
+    return sorted(pairs)
+
+
+def construct_expander(n: int, cnst: Constants | None = None) -> DirectedGraph:
+    """The expander of expander_pairs as a graph; edge ids follow the sorted pairs."""
+    g = DirectedGraph(n)
+    for u, v in expander_pairs(n, cnst):
+        g.add_edge(u, v)
     return g
 
 
 # -------------------------------------------------------------- ball growing
 
-class AdjView:
-    """Static adjacency snapshot over an arbitrary vertex-id subset."""
-
-    def __init__(self, vertices: list[int], edges: list[tuple[int, int]]):
-        self.vertices = list(vertices)
-        vset = set(vertices)
-        self.out: dict[int, list[int]] = {v: [] for v in vertices}
-        self.inn: dict[int, list[int]] = {v: [] for v in vertices}
-        self.m = 0
-        for u, v in edges:
-            if u in vset and v in vset:
-                self.out[u].append(v)
-                self.inn[v].append(u)
-                self.m += 1
-        self.delta_max = max(
-            (len(self.out[v]) + len(self.inn[v]) for v in vertices), default=0
-        )
-
-
-def ball_grow(view: AdjView, x: int, y: int, d: int, cnst: Constants) -> Cut:
+def ball_grow(vertices: list[int], edges: list[tuple[int, int]], x: int, y: int,
+              d: int, cnst: Constants) -> Cut:
     """Two-sided ball growing: a cut of sparsity ball_coeff*delta_max*log(n)/d.
 
-    Grows a forward ball from x and a reverse ball from y, one layer each in
-    turn, accepting the first layer whose directed boundary is phi-sparse
-    relative to the smaller side of the induced cut.  Requires dist(x,y) >= d;
-    if no layer within d/4 steps is acceptable the call is rejected.
+    Works on the edges with both ends in vertices; delta_max is the largest
+    in+out degree among them.  Grows a forward ball from x and a reverse
+    ball from y, one layer each in turn, accepting the first layer whose
+    directed boundary is phi-sparse relative to the smaller side of the
+    induced cut.  Requires dist(x,y) >= d; if no layer within d/4 steps is
+    acceptable the call is rejected.
     """
     if x == y:
         raise ValueError("ball growing requires distinct endpoints")
-    n = len(view.vertices)
-    delta = max(1, view.delta_max)
+    out: dict[int, list[int]] = {v: [] for v in vertices}
+    inn: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in edges:
+        if u in out and v in out:
+            out[u].append(v)
+            inn[v].append(u)
+    n = len(vertices)
+    delta = max(1, max((len(out[v]) + len(inn[v]) for v in vertices), default=0))
     if d < cnst.ball_pre_coeff * delta * log2c(n):
         raise ValueError(f"distance budget d={d} below configured threshold")
     phi = cnst.ball_coeff * delta * log2c(n) / d
     limit = max(1, d // 4)
     work = 0
 
-    univ = set(view.vertices)
+    univ = set(vertices)
     s_fwd, s_rev = {x}, {y}
     frontier_fwd, frontier_rev = [x], [y]
 
@@ -221,14 +212,14 @@ def ball_grow(view: AdjView, x: int, y: int, d: int, cnst: Constants) -> Cut:
         return small > 0 and cross <= phi * small
 
     for _ in range(limit):
-        frontier_fwd, cross, w = layer(s_fwd, frontier_fwd, view.out)
+        frontier_fwd, cross, w = layer(s_fwd, frontier_fwd, out)
         work += w
         if accept(s_fwd, cross):
             cut = Cut(sorted(s_fwd), sorted(univ - s_fwd), cross,
                       sparsity_bound=phi, source="ball_grow")
             cut.work = work  # type: ignore[attr-defined]
             return cut
-        frontier_rev, cross, w = layer(s_rev, frontier_rev, view.inn)
+        frontier_rev, cross, w = layer(s_rev, frontier_rev, inn)
         work += w
         if accept(s_rev, cross):
             cut = Cut(sorted(univ - s_rev), sorted(s_rev), cross,
@@ -403,7 +394,7 @@ def matching_player(
 
     # greedy phase: disjoint single regular edges from A to B
     q1: list[tuple[list[int], list[int]]] = []
-    for eid in sorted(core.live_edge_ids()):
+    for eid in sorted(core.live_edges()):
         if core.is_special(eid):
             continue
         u, v = core.tail[eid], core.head[eid]
@@ -415,7 +406,7 @@ def matching_player(
     # doubling state: level_count[spec][j] = copies of the special edge at
     # length 2^j/d' in the implicit parallel graph
     spec_of_tail: dict[int, int] = {}
-    for eid in core.live_edge_ids():
+    for eid in core.live_edges():
         if core.is_special(eid) and core.tail[eid] in live_set and core.head[eid] in live_set:
             if core.tail[eid] in spec_of_tail:
                 raise ValueError(
@@ -441,7 +432,7 @@ def matching_player(
             by_spec_level.setdefault((spec, level), []).append(hid)
         return hid
 
-    for eid in sorted(core.live_edge_ids()):
+    for eid in sorted(core.live_edges()):
         u, v = core.tail[eid], core.head[eid]
         if u not in live_set or v not in live_set:
             continue
@@ -472,20 +463,15 @@ def matching_player(
 
     tree = EsTree(core.n + 2, h_edges, s_node, 2 * d_prime + 3)
     q2: list[tuple[list[int], list[int]]] = []
-    dead_h = [False] * len(h_edges)
-
-    def kill(hids: list[int]) -> None:
-        batch = [h for h in hids if not dead_h[h]]
-        for h in batch:
-            dead_h[h] = True
-        tree.delete_edges(batch)
 
     while a_left and tree.level[t_node] <= 2 * d_prime + 3:
         h_path = tree.path_edges_to(t_node)
         verts = tree.path_to(t_node)
-        assert h_path is not None and verts is not None
+        if h_path is None or verts is None:
+            raise AssertionError("sink within depth but without a tree path")
         a_end, b_end = verts[1], verts[-2]
-        assert a_end in a_left and b_end in b_left
+        if a_end not in a_left or b_end not in b_left:
+            raise AssertionError("tree path ends at an already routed vertex")
         core_eids = []
         to_kill: list[int] = []
         for hid in h_path:
@@ -494,7 +480,8 @@ def matching_player(
                 core_eids.append(ce)
             if kind == "spec":
                 counts = level_count[ce]
-                assert counts[j] > 0, "path used an unpopulated copy"
+                if counts[j] <= 0:
+                    raise AssertionError("path used an unpopulated copy")
                 counts[j] -= 1
                 if j + 1 <= q:
                     counts[j + 1] += 1
@@ -505,7 +492,7 @@ def matching_player(
         b_left.discard(b_end)
         to_kill.extend(s_edge_of[a_end])
         to_kill.append(t_edge_of[b_end])
-        kill(to_kill)
+        tree.delete_edges([h for h in to_kill if tree.alive[h]])
 
     paths = q1 + q2
     if len(paths) >= n_half - z:
@@ -525,7 +512,7 @@ def matching_player(
     # cut extraction over the equalized lengths
     length_of: dict[int, int] = {}
     total = 0
-    for eid in core.live_edge_ids():
+    for eid in core.live_edges():
         u, v = core.tail[eid], core.head[eid]
         if u not in live_set or v not in live_set:
             continue
@@ -570,13 +557,14 @@ def matching_player(
     best_k = best_cross = None
     for k in range(d_prime):
         cross = 0
-        for eid in core.live_edge_ids():
+        for eid in core.live_edges():
             u, v = core.tail[eid], core.head[eid]
             if u in dist and v in dist and dist[u] <= k < dist[v]:
                 cross += 1
         if best_cross is None or cross < best_cross:
             best_k, best_cross = k, cross
-    assert best_k is not None and best_cross is not None
+    if best_k is None or best_cross is None:
+        raise AssertionError("no threshold cut scanned")
     x_side = sorted(v for v in live if dist[v] <= best_k)
     y_side = sorted(v for v in live if dist[v] > best_k)
     if best_cross > 2 * n_game / d_prime:
@@ -593,9 +581,7 @@ def _greedy_embed(vertices, w_edges, wids, d_tilde, eta, cnst):
     """Greedily embed an explicit expander into the multigraph restricted to
     wids; returns (expander edge pairs, fake index set, paths idx -> global
     w-edge ids, set of saturated wids)."""
-    n = len(vertices)
-    wn = construct_expander(n, cnst)
-    exp_edges = [(vertices[wn.tail[e]], vertices[wn.head[e]]) for e in range(wn.m())]
+    exp_edges = [(vertices[a], vertices[b]) for a, b in expander_pairs(len(vertices), cnst)]
 
     out_adj: dict[int, list[int]] = {v: [] for v in vertices}
     vset = set(vertices)
@@ -674,14 +660,11 @@ def cut_player_inner(vertices, w_edges, wids, cnst: Constants, relaxed=False):
         if wid not in saturated and w_edges[wid][0] in vset and w_edges[wid][1] in vset
     ]
     fake_pairs = sorted({exp_edges[i] for i in fake})
-    delta = max(1, AdjView(list(vertices), live_pairs).delta_max)
     while len(alive) > n - k / 2 and len(alive) >= 2:
         pair = next(((a, b) for a, b in fake_pairs if a in alive and b in alive), None)
         if pair is None:
             break
-        sub_pairs = [(u, v) for u, v in live_pairs if u in alive and v in alive]
-        view = AdjView(sorted(alive), sub_pairs)
-        cut = ball_grow(view, pair[0], pair[1], d_tilde, cnst)
+        cut = ball_grow(sorted(alive), live_pairs, pair[0], pair[1], d_tilde, cnst)
         small = cut.a if len(cut.a) <= len(cut.b) else cut.b
         removed.append(sorted(small))
         removed_budget.append(cut.crossing)
@@ -766,7 +749,7 @@ def embed_or_cut(core: CoreGraph, d_prime: int, cnst: Constants):
             a, b = cut.a, sorted(cut.b + [v0])
         a_set, b_set = set(a), set(b)
         crossing = sum(
-            1 for eid in core.live_edge_ids()
+            1 for eid in core.live_edges()
             if core.tail[eid] in a_set and core.head[eid] in b_set
         )
         return Cut(a, b, crossing, source=cut.source)
@@ -814,7 +797,8 @@ def embed_or_cut(core: CoreGraph, d_prime: int, cnst: Constants):
                 used_dst.add(verts[-1])
             spare_src = sorted(set(src) - used_src)
             spare_dst = sorted(set(dst) - used_dst)
-            assert len(spare_src) == len(spare_dst) <= z
+            if not len(spare_src) == len(spare_dst) <= z:
+                raise AssertionError("unrouted endpoints unbalanced or more than z")
             for a, b in zip(spare_src, spare_dst):
                 wid = len(w_edges)
                 w_edges.append((a, b))
@@ -847,28 +831,13 @@ def _compose(core, inner_payload, w_fake, w_paths, d_prime, n, rounds, cnst):
         for w in wids:
             pv, pe = w_paths[w]
             if verts:
-                assert verts[-1] == pv[0]
+                if verts[-1] != pv[0]:
+                    raise AssertionError("consecutive matching paths do not meet")
                 verts.extend(pv[1:])
             else:
                 verts.extend(pv)
             eids.extend(pe)
-        simple_v: list[int] = []
-        simple_e: list[int] = []
-        pos: dict[int, int] = {}
-        for i, vtx in enumerate(verts):
-            if vtx in pos:
-                keep = pos[vtx]
-                for dropped in simple_v[keep + 1:]:
-                    pos.pop(dropped)
-                del simple_v[keep + 1:]
-                del simple_e[keep:]
-            else:
-                pos[vtx] = len(simple_v)
-                if i > 0:
-                    simple_e.append(eids[i - 1])
-                simple_v.append(vtx)
-        path_vertices[idx] = simple_v
-        path_edges[idx] = simple_e
+        path_vertices[idx], path_edges[idx] = shortcut_to_simple(verts, eids)
     emb = Embedding(
         vertices=sorted(exp_vertices),
         edges=exp_edges,

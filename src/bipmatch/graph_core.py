@@ -8,7 +8,7 @@ stable edge ids can be held by long-lived index structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .constants import log2c
 
@@ -23,6 +23,7 @@ class BipartiteGraph:
     n_left: int
     n_right: int
     edges: tuple[tuple[int, int], ...]
+    edge_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen = set()
@@ -32,6 +33,7 @@ class BipartiteGraph:
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
+        object.__setattr__(self, "edge_set", frozenset(seen))
 
     @property
     def n(self) -> int:
@@ -78,17 +80,22 @@ class Matching:
         return Matching(self.pairs)
 
     def validate(self, g: BipartiteGraph) -> None:
-        edge_set = set(g.edges)
         for u, v in self.pairs:
-            if (u, v) not in edge_set:
+            if (u, v) not in g.edge_set:
                 raise ValueError(f"matched pair ({u},{v}) is not a graph edge")
 
 
 class DirectedGraph:
-    """Directed multigraph with stable edge ids and tombstone deletion."""
+    """Directed multigraph with stable edge ids and tombstone deletion.
+
+    Deleting a vertex first deletes its live incident edges, so a live edge
+    always joins two live vertices.
+    """
 
     def __init__(self, n: int):
         self.n = n
+        self.vertex_alive = [True] * n
+        self.live_n = n
         self.tail: list[int] = []
         self.head: list[int] = []
         self.length: list[int] = []
@@ -105,6 +112,8 @@ class DirectedGraph:
         self.in_adj.append([])
         self.live_out.append(0)
         self.live_in.append(0)
+        self.vertex_alive.append(True)
+        self.live_n += 1
         self.n += 1
         return self.n - 1
 
@@ -132,8 +141,20 @@ class DirectedGraph:
         self.live_in[self.head[eid]] -= 1
         self.live_m -= 1
 
+    def delete_vertex(self, v: int) -> None:
+        if not self.vertex_alive[v]:
+            raise ValueError(f"vertex {v} already deleted")
+        self.vertex_alive[v] = False
+        self.live_n -= 1
+        for eid in self.out_adj[v] + self.in_adj[v]:
+            if self.alive[eid]:
+                self.delete_edge(eid)
+
     def m(self) -> int:
         return len(self.tail)
+
+    def live_vertices(self) -> list[int]:
+        return [v for v in range(self.n) if self.vertex_alive[v]]
 
     def live_edges(self):
         for eid in range(len(self.tail)):
@@ -326,113 +347,53 @@ def augment(g: BipartiteGraph, m_set: Matching, paths: list[list[int]]) -> Match
     return result
 
 
-class CoreGraph:
+class CoreGraph(DirectedGraph):
     """Simple directed bipartite core (no s/t): unit lengths, special = R->L.
 
     The expander machinery and cluster maintenance operate on this view.
-    Vertices carry a side tag; edges are simple and tombstoned; vertices may
-    be deleted, which kills their incident edges.
+    Vertices carry a side tag; live edges are simple and join opposite sides.
     """
 
     def __init__(self, n: int, side: list[str]):
-        self.n = n
+        super().__init__(n)
         self.side = side  # "L" or "R" per vertex
-        self.tail: list[int] = []
-        self.head: list[int] = []
-        self.edge_alive: list[bool] = []
-        self.vertex_alive = [True] * n
-        self.out_adj: list[list[int]] = [[] for _ in range(n)]
-        self.in_adj: list[list[int]] = [[] for _ in range(n)]
         self.pair_to_eid: dict[tuple[int, int], int] = {}
-        self.live_m = 0
-        self.live_n = n
 
     def add_edge(self, u: int, v: int) -> int:
-        if (u, v) in self.pair_to_eid and self.edge_alive[self.pair_to_eid[(u, v)]]:
+        if (u, v) in self.pair_to_eid and self.alive[self.pair_to_eid[(u, v)]]:
             raise ValueError(f"duplicate core edge ({u},{v})")
         if self.side[u] == self.side[v]:
             raise ValueError(f"core edge ({u},{v}) is not bipartite")
-        eid = len(self.tail)
-        self.tail.append(u)
-        self.head.append(v)
-        self.edge_alive.append(True)
-        self.out_adj[u].append(eid)
-        self.in_adj[v].append(eid)
+        eid = super().add_edge(u, v)
         self.pair_to_eid[(u, v)] = eid
-        self.live_m += 1
         return eid
 
     def is_special(self, eid: int) -> bool:
         return self.side[self.tail[eid]] == "R"
 
-    def delete_edge(self, eid: int) -> None:
-        if not self.edge_alive[eid]:
-            raise ValueError(f"core edge {eid} already deleted")
-        self.edge_alive[eid] = False
-        self.live_m -= 1
 
-    def delete_vertex(self, v: int) -> None:
-        if not self.vertex_alive[v]:
-            raise ValueError(f"vertex {v} already deleted")
-        self.vertex_alive[v] = False
-        self.live_n -= 1
-        for eid in self.out_adj[v]:
-            if self.edge_alive[eid]:
-                self.delete_edge(eid)
-        for eid in self.in_adj[v]:
-            if self.edge_alive[eid]:
-                self.delete_edge(eid)
+def shortcut_to_simple(verts: list[int], eids: list[int]) -> tuple[list[int], list[int]]:
+    """Cut every loop out of a walk; eids[i] joins verts[i] and verts[i+1].
 
-    def live_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if self.vertex_alive[v]]
-
-    def live_edge_ids(self):
-        for eid in range(len(self.tail)):
-            if self.edge_alive[eid]:
-                yield eid
-
-    def out_live(self, u: int):
-        for eid in self.out_adj[u]:
-            if self.edge_alive[eid] and self.vertex_alive[self.head[eid]]:
-                yield eid
-
-    def in_live(self, v: int):
-        for eid in self.in_adj[v]:
-            if self.edge_alive[eid] and self.vertex_alive[self.tail[eid]]:
-                yield eid
-
-    def copy(self) -> "CoreGraph":
-        out = CoreGraph(self.n, list(self.side))
-        for eid in range(len(self.tail)):
-            u, v = self.tail[eid], self.head[eid]
-            ne = out.add_edge(u, v)
-            if not self.edge_alive[eid]:
-                out.delete_edge(ne)
-        for v in range(self.n):
-            if not self.vertex_alive[v]:
-                out.delete_vertex(v)
-        return out
-
-
-def core_of_well_structured(h: WellStructuredGraph) -> tuple[CoreGraph, list[int]]:
-    """Collapse h minus {s,t} (and parallels) into a CoreGraph.
-
-    Returns the core plus the mapping core-id -> h-vertex-id.
+    On revisiting a vertex the walk drops back to its first visit, so the
+    result is a simple path with the walk's endpoints.
     """
-    ids = [v for v in range(2, h.n)]
-    local = {v: i for i, v in enumerate(ids)}
-    side = ["L" if h.is_left(v) else "R" for v in ids]
-    core = CoreGraph(len(ids), side)
-    seen = set()
-    for eid in h.g.live_edges():
-        u, v = h.g.tail[eid], h.g.head[eid]
-        if u in (S_ID, T_ID) or v in (S_ID, T_ID):
-            continue
-        pair = (local[u], local[v])
-        if pair not in seen:
-            seen.add(pair)
-            core.add_edge(*pair)
-    return core, ids
+    simple_v: list[int] = []
+    simple_e: list[int] = []
+    pos: dict[int, int] = {}
+    for i, vtx in enumerate(verts):
+        if vtx in pos:
+            keep = pos[vtx]
+            for dropped in simple_v[keep + 1:]:
+                pos.pop(dropped)
+            del simple_v[keep + 1:]
+            del simple_e[keep:]
+        else:
+            pos[vtx] = len(simple_v)
+            if i > 0:
+                simple_e.append(eids[i - 1])
+            simple_v.append(vtx)
+    return simple_v, simple_e
 
 
 # ------------------------------------------------------------- text format

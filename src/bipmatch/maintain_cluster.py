@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .constants import Constants
 from .es_tree import EsTree, INF
-from .expander_tools import AdjView, Cut, ball_grow, embed_or_cut, sparse_to_well_structured
-from .graph_core import CoreGraph
+from .expander_tools import Cut, ball_grow, embed_or_cut, sparse_to_well_structured
+from .graph_core import CoreGraph, shortcut_to_simple
 
 
 class ClusterHalted(Exception):
@@ -164,7 +164,7 @@ class ClusterState:
         out_edges: list[tuple[int, int, int]] = []
         in_edges: list[tuple[int, int, int]] = []
         self.core2es: dict[int, int] = {}
-        for eid in core.live_edge_ids():
+        for eid in core.live_edges():
             self.core2es[eid] = len(out_edges)
             out_edges.append((core.tail[eid], core.head[eid], 1))
             in_edges.append((core.head[eid], core.tail[eid], 1))
@@ -214,7 +214,7 @@ class ClusterState:
         affected: set[int] = set()
         batch = []
         for eid in eids:
-            if not self.core.edge_alive[eid]:
+            if not self.core.alive[eid]:
                 continue
             self.core.delete_edge(eid)
             batch.append(eid)
@@ -229,16 +229,15 @@ class ClusterState:
         eids = []
         for v in verts:
             for eid in self.core.out_adj[v]:
-                if self.core.edge_alive[eid]:
+                if self.core.alive[eid]:
                     eids.append(eid)
             for eid in self.core.in_adj[v]:
-                if self.core.edge_alive[eid] and self.core.tail[eid] not in vset:
+                if self.core.alive[eid] and self.core.tail[eid] not in vset:
                     eids.append(eid)
         affected = self._kill_core_edges(eids)
         self._kill_exp_edges(affected)
         for v in verts:
-            self.core.vertex_alive[v] = False
-            self.core.live_n -= 1
+            self.core.delete_vertex(v)
         self._remove_exp_vertices(vset & self.exp_vertices)
 
     def _emit_and_delete(self, ws: Cut, kind: str) -> list[int]:
@@ -346,8 +345,8 @@ class ClusterState:
             all_special = all(core.is_special(e) for e in crossing)
             small = min(len(ball), n_live - len(ball))
             if all_special and small > 0 and len(crossing) <= phi * small:
-                if self.checked:
-                    assert not (ball & self.exp_vertices)
+                if self.checked and ball & self.exp_vertices:
+                    raise AssertionError("well-structured ball reached the expander")
                 rest = sorted(set(core.live_vertices()) - ball)
                 if forward:
                     return Cut(sorted(ball), rest, len(crossing),
@@ -398,14 +397,9 @@ class ClusterState:
 
     def _type2_fix(self, pair) -> None:
         a, b = pair
-        verts = sorted(self.exp_vertices)
-        edges = []
-        for idx, (u, w) in enumerate(self.emb.edges):
-            if self.exp_alive[idx] and idx not in self.exp_fake:
-                if u in self.exp_vertices and w in self.exp_vertices:
-                    edges.append((u, w))
-        view = AdjView(verts, edges)
-        cut = ball_grow(view, a, b, self.d_hat, self.cnst)
+        edges = [e for idx, e in enumerate(self.emb.edges)
+                 if self.exp_alive[idx] and idx not in self.exp_fake]
+        cut = ball_grow(sorted(self.exp_vertices), edges, a, b, self.d_hat, self.cnst)
         small = cut.a if len(cut.a) <= len(cut.b) else cut.b
         self.damage += cut.crossing
         self._remove_exp_vertices(set(small))
@@ -442,10 +436,13 @@ class ClusterState:
                 )
             verts, eids = fallback
         if self.checked:
-            assert len(set(verts)) == len(verts), "query path not simple"
+            if len(set(verts)) != len(verts):
+                raise AssertionError("query path not simple")
             for eid, (a, b) in zip(eids, zip(verts, verts[1:])):
-                assert self.core.edge_alive[eid]
-                assert self.core.tail[eid] == a and self.core.head[eid] == b
+                if not self.core.alive[eid]:
+                    raise AssertionError(f"query path edge {eid} is deleted")
+                if self.core.tail[eid] != a or self.core.head[eid] != b:
+                    raise AssertionError(f"query path edge {eid} does not join {a}->{b}")
         self.last_path_edges = set(eids)
         if self.phase_queries >= self.n_budget:
             self.needs_rebuild = True
@@ -454,7 +451,8 @@ class ClusterState:
     def _route(self, x: int, y: int):
         t_in_path = self.t_in.path_to(x)
         t_out_path = self.t_out.path_to(y)
-        assert t_in_path is not None and t_out_path is not None, "cleanup invariant broken"
+        if t_in_path is None or t_out_path is None:
+            raise AssertionError("cleanup invariant broken")
         walk_v = list(reversed(t_in_path))[:-1]  # x .. x' (expander vertex)
         x_prime = walk_v[-1]
         out_adj, _ = self._exp_adjacency()
@@ -470,7 +468,8 @@ class ClusterState:
                         parent[w] = (u, idx)
                         nxt.append(w)
             frontier = nxt
-        assert y_prime in parent, "expander core disconnected despite cleanup"
+        if y_prime not in parent:
+            raise AssertionError("expander core disconnected despite cleanup")
         route: list[int] = []
         cur = y_prime
         while cur != x_prime:
@@ -485,7 +484,8 @@ class ClusterState:
         for idx in route:
             pv = self.emb.path_vertices[idx]
             pe = self.emb.path_edges[idx]
-            assert pv[0] == cur
+            if pv[0] != cur:
+                raise AssertionError("embedding path does not start at the route vertex")
             full_v.extend(pv[1:])
             full_e.extend(pe)
             cur = pv[-1]
@@ -495,12 +495,14 @@ class ClusterState:
         tail_e = [self._core_eid_for(a, b)
                   for a, b in zip(t_out_path[1:], t_out_path[2:])]
         all_e = head_e + full_e + tail_e
-        assert len(all_e) == len(full_v) - 1
-        return _simplify(full_v, all_e)
+        if len(all_e) != len(full_v) - 1:
+            raise AssertionError("route edge/vertex count mismatch")
+        return shortcut_to_simple(full_v, all_e)
 
     def _core_eid_for(self, a: int, b: int) -> int:
         eid = self.core.pair_to_eid.get((a, b))
-        assert eid is not None and self.core.edge_alive[eid]
+        if eid is None or not self.core.alive[eid]:
+            raise AssertionError(f"no live core edge ({a},{b})")
         return eid
 
     def _bfs_route(self, x: int, y: int):
@@ -549,21 +551,3 @@ class ClusterState:
             total += self.t_out.scan_steps + self.t_in.scan_steps
         return total
 
-
-def _simplify(verts: list[int], eids: list[int]):
-    simple_v: list[int] = []
-    simple_e: list[int] = []
-    pos: dict[int, int] = {}
-    for i, vtx in enumerate(verts):
-        if vtx in pos:
-            keep = pos[vtx]
-            for dropped in simple_v[keep + 1:]:
-                pos.pop(dropped)
-            del simple_v[keep + 1:]
-            del simple_e[keep:]
-        else:
-            pos[vtx] = len(simple_v)
-            if i > 0:
-                simple_e.append(eids[i - 1])
-            simple_v.append(vtx)
-    return simple_v, simple_e

@@ -86,7 +86,8 @@ def ford_fulkerson_matching(g: BipartiteGraph) -> Matching:
                             while cur is not None:
                                 _, rv = cur
                                 prev = parent[cur]
-                                assert prev is not None
+                                if prev is None:
+                                    raise AssertionError("augmenting path lost its parent")
                                 _, lu = prev
                                 match_l[lu], match_r[rv] = rv, lu
                                 cur = parent[prev]

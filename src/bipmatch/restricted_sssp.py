@@ -78,7 +78,7 @@ class RestrictedSssp:
         self.last_path: set[int] = set()
         self.stats = {
             "queries": 0, "fails": 0, "cuts": 0, "splits": 0, "shatters": 0,
-            "emergency_shatters": 0, "long_warn": 0, "over_2lam": 0,
+            "emergency_shatters": 0, "over_2lam": 0,
             "cluster_queries": 0, "es_scans": 0, "dag_work": 0,
         }
 
@@ -240,8 +240,8 @@ class RestrictedSssp:
         dag = DagSssp(s=0, t=1, d=self.lam, eps_inv=20, gamma=self.gamma,
                       n_hint=n_hint, checked=self.checked)
         # source first, sink second, then the rest in cid order
-        s_cid = self._cid_of(S_ID)
-        t_cid = self._cid_of(T_ID)
+        s_cid = self.cluster_of[S_ID]
+        t_cid = self.cluster_of[T_ID]
         rest = sorted(c for c in self.clusters if c not in (s_cid, t_cid))
         for cid in [s_cid, t_cid] + rest:
             self.clusters[cid].sup = dag.add_vertex()
@@ -265,25 +265,21 @@ class RestrictedSssp:
         if self.checked:
             dag.check_p1()
 
-    def _cid_of(self, v: int) -> int:
-        return self.cluster_of[v]
+    def _interval(self, v: int) -> tuple[int, int]:
+        """First and last position of the interval of v's cluster."""
+        rec = self.clusters[self.cluster_of[v]]
+        return rec.start, rec.start + rec.size - 1
 
     def _skip(self, u: int, v: int) -> int:
-        ru = self.clusters[self.cluster_of[u]]
-        rv = self.clusters[self.cluster_of[v]]
-        iu = (ru.start, ru.start + ru.size - 1)
-        iv = (rv.start, rv.start + rv.size - 1)
-        if iu[1] < iv[0]:
-            return iv[0] - iu[1]
-        return iu[0] - iv[1]
+        (u_lo, u_hi), (v_lo, v_hi) = self._interval(u), self._interval(v)
+        if u_hi < v_lo:
+            return v_lo - u_hi
+        return u_lo - v_hi
 
     def _span(self, u: int, v: int) -> int:
-        ru = self.clusters[self.cluster_of[u]]
-        rv = self.clusters[self.cluster_of[v]]
-        iu = (ru.start, ru.start + ru.size - 1)
-        iv = (rv.start, rv.start + rv.size - 1)
-        if iu[0] > iv[1]:  # right-to-left
-            return iu[1] - iv[0]
+        (u_lo, u_hi), (v_lo, v_hi) = self._interval(u), self._interval(v)
+        if u_lo > v_hi:  # right-to-left
+            return u_hi - v_lo
         return 0
 
     def _edges_touching(self, verts: set[int]):
@@ -301,7 +297,8 @@ class RestrictedSssp:
 
     def _split_supernode(self, cid: int, new_cid: int) -> None:
         dag = self.dag
-        assert dag is not None
+        if dag is None:
+            raise AssertionError("contracted graph not built")
         rec = self.clusters[cid]
         new_rec = self.clusters[new_cid]
         zset = new_rec.members
@@ -342,7 +339,8 @@ class RestrictedSssp:
 
     def _prune_edge(self, eid: int) -> None:
         dag = self.dag
-        assert dag is not None
+        if dag is None:
+            raise AssertionError("contracted graph not built")
         g = self.graph.g
         u, v = g.tail[eid], g.head[eid]
         if self.cluster_of[u] == self.cluster_of[v]:
@@ -360,7 +358,8 @@ class RestrictedSssp:
     def _shatter_supernode(self, cid: int, new_cids: list[int],
                            old_members: set[int], keep: int) -> None:
         dag = self.dag
-        assert dag is not None
+        if dag is None:
+            raise AssertionError("contracted graph not built")
         g = self.graph.g
         rec = self.clusters[cid]
         for offset, nc in enumerate(new_cids):
@@ -438,7 +437,8 @@ class RestrictedSssp:
         if self.queries_done >= self.delta:
             raise ValueError("query budget exhausted")
         self._flush_rebuilds()
-        assert self.dag is not None
+        if self.dag is None:
+            raise AssertionError("contracted graph not built")
         for _attempt in range(2 * self.n + 4):
             dag_path = self.dag.path_query()
             if dag_path is None:
@@ -473,13 +473,15 @@ class RestrictedSssp:
             if u != verts[-1]:
                 seg = self._cluster_route(verts[-1], u)
                 vs, es = seg
-                assert vs[0] == verts[-1] and vs[-1] == u
+                if vs[0] != verts[-1] or vs[-1] != u:
+                    raise AssertionError("cluster route does not join the hop endpoints")
                 verts.extend(vs[1:])
                 eids.extend(es)
             chosen = self._cheapest_copy(u, v)
             verts.append(v)
             eids.append(chosen)
-        assert verts[-1] == T_ID
+        if verts[-1] != T_ID:
+            raise AssertionError("assembled path does not end at the sink")
         if len(set(verts)) != len(verts):
             raise AssertionError("assembled path is not simple")
         return verts, eids
@@ -653,7 +655,8 @@ class ReferenceSssp:
         eids: list[int] = []
         while verts[-1] != S_ID:
             eid = best_edge[verts[-1]]
-            assert eid is not None
+            if eid is None:
+                raise AssertionError(f"reached vertex {verts[-1]} has no parent edge")
             eids.append(eid)
             verts.append(g.tail[eid])
         verts.reverse()

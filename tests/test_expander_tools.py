@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from bipmatch.constants import log2c
-from bipmatch.expander_tools import (AdjView, Cut, ball_grow, chain_to_balanced,
+from bipmatch.expander_tools import (Cut, ball_grow, chain_to_balanced,
                                      construct_expander, cut_player, embed_or_cut,
                                      matching_player, sparse_to_well_structured)
 from bipmatch.graph_core import CoreGraph
@@ -14,6 +15,12 @@ from conftest import random_core, recount_core_cut
 def recount(edges, cut: Cut) -> int:
     a, b = set(cut.a), set(cut.b)
     return sum(1 for u, v in edges if u in a and v in b)
+
+
+def degree_max(edges) -> int:
+    """Largest in+out degree over the edge list."""
+    deg = Counter(v for edge in edges for v in edge)
+    return max(deg.values())
 
 
 # ------------------------------------------------------------- construction
@@ -70,10 +77,9 @@ def test_ball_grow_separates_cliques(cnst):
     for a, b in zip(chain, chain[1:]):
         edges.append((a, b))
     n = 2 * k + plen
-    view = AdjView(list(range(n)), edges)
     d = 16
-    cut = ball_grow(view, x=1, y=k + plen + 1, d=d, cnst=cnst)
-    phi = cnst.ball_coeff * view.delta_max * log2c(n) / d
+    cut = ball_grow(list(range(n)), edges, x=1, y=k + plen + 1, d=d, cnst=cnst)
+    phi = cnst.ball_coeff * degree_max(edges) * log2c(n) / d
     assert recount(edges, cut) == cut.crossing
     assert cut.crossing <= phi * cut.min_side()
     a_set = set(cut.a)
@@ -81,9 +87,8 @@ def test_ball_grow_separates_cliques(cnst):
 
 
 def test_ball_grow_rejects_equal_endpoints(cnst):
-    view = AdjView([0, 1], [(0, 1)])
     with pytest.raises(ValueError):
-        ball_grow(view, 0, 0, 8, cnst)
+        ball_grow([0, 1], [(0, 1)], 0, 0, 8, cnst)
 
 
 def test_ball_grow_layered_dag(cnst):
@@ -97,10 +102,9 @@ def test_ball_grow_layered_dag(cnst):
                 if rng.random() < 0.7:
                     edges.append((l * width + i, (l + 1) * width + j))
     n = layers * width
-    view = AdjView(list(range(n)), edges)
     d = 10
-    cut = ball_grow(view, 0, n - 1, d, cnst)
-    phi = cnst.ball_coeff * view.delta_max * log2c(n) / d
+    cut = ball_grow(list(range(n)), edges, 0, n - 1, d, cnst)
+    phi = cnst.ball_coeff * degree_max(edges) * log2c(n) / d
     assert recount(edges, cut) == cut.crossing
     assert cut.crossing <= phi * cut.min_side()
 
@@ -212,7 +216,7 @@ def test_sparse_to_ws_random(cnst):
     for _ in range(10):
         core = random_core(rng, 12, 12, 0.06, match_frac=0.8)
         # a random cut of sparsity <= 0.2, engineered by taking matched pairs
-        pairs = [(core.tail[e], core.head[e]) for e in core.live_edge_ids()
+        pairs = [(core.tail[e], core.head[e]) for e in core.live_edges()
                  if core.is_special(e)]
         if len(pairs) < 6:
             continue
@@ -282,7 +286,7 @@ def test_matching_player_random_postconditions(cnst):
                 n_game, d_prime
             )
         else:
-            edges = [(core.tail[e], core.head[e]) for e in core.live_edge_ids()
+            edges = [(core.tail[e], core.head[e]) for e in core.live_edges()
                      if core.tail[e] in set(res.a) | set(res.b)
                      and core.head[e] in set(res.a) | set(res.b)]
             assert recount(edges, res) == res.crossing
@@ -367,7 +371,7 @@ def test_embed_or_cut_odd_vertex_count(cnst):
     kind, payload = embed_or_cut(core, 8, cnst)
     if kind == "cut":
         assert payload.crossing <= 2 * (core.live_n - 1) / 8 + 1
-        edges = [(core.tail[e], core.head[e]) for e in core.live_edge_ids()]
+        edges = [(core.tail[e], core.head[e]) for e in core.live_edges()]
         assert recount(edges, payload) == payload.crossing
         assert sorted(payload.a + payload.b) == core.live_vertices()
     else:

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from bipmatch.graph_core import (BipartiteGraph, Matching, S_ID, T_ID, augment,
-                                 core_of_well_structured, left_id, parse_graph_text,
-                                 residual_graph, right_id, validate_well_structured,
+from bipmatch.graph_core import (BipartiteGraph, DirectedGraph, Matching, S_ID, T_ID,
+                                 augment, left_id, parse_graph_text, residual_graph, right_id,
+                                 shortcut_to_simple, validate_well_structured,
                                  write_graph_text)
 from conftest import residual_of_random
 
@@ -177,14 +177,26 @@ def test_edge_disjoint_paths_are_internally_vertex_disjoint():
         assert len(internal) == len(set(internal))
 
 
-def test_core_of_well_structured_collapses_parallels():
-    g = BipartiteGraph(1, 1, ((0, 0),))
-    h = residual_graph(g, Matching([(0, 0)]))
-    u, v = left_id(g, 0), right_id(g, 0)
-    h.add_edge(v, u, special=True)
-    core, ids = core_of_well_structured(h)
-    assert core.live_m == 1
-    assert ids == [u, v]
+def test_delete_vertex_tombstones_incident_edges():
+    g = DirectedGraph(3)
+    for u, v in [(0, 1), (1, 2), (2, 0), (0, 2)]:
+        g.add_edge(u, v)
+    g.delete_vertex(0)
+    assert g.live_vertices() == [1, 2] and g.live_n == 2
+    assert list(g.live_edges()) == [1]  # only 1->2 avoids vertex 0
+    assert g.live_m == 1 and g.live_out[2] == 0 and g.live_in[1] == 0
+    with pytest.raises(ValueError):
+        g.delete_vertex(0)
+
+
+def test_shortcut_to_simple():
+    # a loop 1-2-3-1 is cut out, keeping the edge that leaves the first visit
+    assert shortcut_to_simple([0, 1, 2, 3, 1, 4], [10, 11, 12, 13, 14]) == ([0, 1, 4], [10, 14])
+    # a repeated vertex with nothing between the visits
+    assert shortcut_to_simple([5, 6, 6, 7], [20, 21, 22]) == ([5, 6, 7], [20, 22])
+    # a simple path is returned unchanged
+    assert shortcut_to_simple([3, 1, 2], [30, 31]) == ([3, 1, 2], [30, 31])
+    assert shortcut_to_simple([9], []) == ([9], [])
 
 
 def test_graph_text_round_trip():

@@ -129,7 +129,7 @@ def test_delete_requires_last_path_edges(cnst):
     st = ClusterState(core, d_star=20, delta=10, cut_sink=None, cnst=cnst)
     live = st.core.live_vertices()
     verts, eids = st.query(live[0], live[2])
-    other = [e for e in st.core.live_edge_ids() if e not in set(eids)]
+    other = [e for e in st.core.live_edges() if e not in set(eids)]
     if other:
         with pytest.raises(ValueError):
             st.delete_edges([other[0]])
