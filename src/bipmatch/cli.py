@@ -154,36 +154,36 @@ def main(argv: list[str] | None = None) -> int:
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
     rows = [CSV_HEADER]
     ok = True
-    for gen_name, seed, g in instances:
-        oracle_size = None
-        if args.verify:
-            oracle_size = len(hopcroft_karp(g)[0])
-        for algo in algos:
-            try:
+    try:
+        for gen_name, seed, g in instances:
+            oracle_size = None
+            if args.verify:
+                oracle_size = len(hopcroft_karp(g)[0])
+            for algo in algos:
                 matching, wall_ms, counters = _run_one(
                     g, algo, args.backend, cnst, args.target, args.trace
                 )
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            verified = ""
-            if args.verify:
-                expect = oracle_size if args.target is None else min(
-                    oracle_size, args.target
+                verified = ""
+                if args.verify:
+                    expect = oracle_size if args.target is None else min(
+                        oracle_size, args.target
+                    )
+                    verified = "yes" if len(matching) == expect else "NO"
+                    if verified == "NO":
+                        ok = False
+                        print(f"verification FAILED: {gen_name} seed={seed} algo={algo} "
+                              f"got {len(matching)} expected {expect}", file=sys.stderr)
+                rows.append(
+                    f"{gen_name},{seed},{g.n_left},{g.n_right},{len(g.edges)},{algo},"
+                    f"{args.backend if algo == 'paper' else ''},{len(matching)},"
+                    f"{wall_ms:.2f},{counters['phases']},{counters['paths']},"
+                    f"{counters['cuts']},{counters['max_congestion']},"
+                    f"{counters['es_scans']},{counters['dag_work']},"
+                    f"{counters['fallbacks']},{counters['exact_augments']},{verified}"
                 )
-                verified = "yes" if len(matching) == expect else "NO"
-                if verified == "NO":
-                    ok = False
-                    print(f"verification FAILED: {gen_name} seed={seed} algo={algo} "
-                          f"got {len(matching)} expected {expect}", file=sys.stderr)
-            rows.append(
-                f"{gen_name},{seed},{g.n_left},{g.n_right},{len(g.edges)},{algo},"
-                f"{args.backend if algo == 'paper' else ''},{len(matching)},"
-                f"{wall_ms:.2f},{counters['phases']},{counters['paths']},"
-                f"{counters['cuts']},{counters['max_congestion']},"
-                f"{counters['es_scans']},{counters['dag_work']},"
-                f"{counters['fallbacks']},{counters['exact_augments']},{verified}"
-            )
+    except Exception as exc:  # any failure of a run or of the oracle is exit 2
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     text = "\n".join(rows) + "\n"
     if args.csv == "-":
         sys.stdout.write(text)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from .constants import Constants
 from .graph_core import (BipartiteGraph, Matching, S_ID, T_ID, WellStructuredGraph,
-                         augment, residual_graph)
+                         augment, bfs_tree, residual_graph, tree_path)
 from .mwu import mwu_run
 
 
@@ -61,123 +60,48 @@ def _delta_star(n: int, m: int) -> int:
 
 def find_augmenting_path(h: WellStructuredGraph) -> list[int] | None:
     """BFS for any s-t path in the residual graph; returns the vertex sequence."""
-    parent: dict[int, int] = {S_ID: -1}
-    dq = deque([S_ID])
-    while dq:
-        u = dq.popleft()
-        if u == T_ID:
-            break
-        for eid in sorted(h.g.out_live(u)):
-            v = h.g.head[eid]
-            if v not in parent:
-                parent[v] = u
-                dq.append(v)
-    if T_ID not in parent:
-        return None
-    path = [T_ID]
-    while path[-1] != S_ID:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    parent = bfs_tree(S_ID, h.g, target=T_ID)
+    return tree_path(parent, T_ID)[0] if T_ID in parent else None
 
 
-def hk_phase(h: WellStructuredGraph) -> list[list[int]]:
-    """One blocking phase: a maximal set of internally disjoint shortest
-    augmenting paths in the residual graph."""
-    level: dict[int, int] = {S_ID: 0}
-    dq = deque([S_ID])
-    while dq:
-        u = dq.popleft()
-        for eid in h.g.out_live(u):
-            v = h.g.head[eid]
-            if v not in level:
-                level[v] = level[u] + 1
-                dq.append(v)
-    if T_ID not in level:
-        return []
-    target = level[T_ID]
-    used: set[int] = set()
-    paths: list[list[int]] = []
+class _FlowArcs:
+    """adj[u] of the residual network of a unit flow over some edges of g:
+    flow-free edges forward in id order, then flow edges backward in id order."""
 
-    def dfs(u: int, path: list[int]) -> bool:
-        if u == T_ID:
-            return True
-        for eid in sorted(h.g.out_live(u)):
-            v = h.g.head[eid]
-            if v in used or level.get(v, -1) != level[u] + 1 or level[v] > target:
-                continue
-            if v != T_ID:
-                used.add(v)
-            path.append(v)
-            if dfs(v, path):
-                return True
-            path.pop()
-        return False
+    def __init__(self, g, flow: list[int]):
+        self.g = g
+        self.flow = flow
 
-    while True:
-        path = [S_ID]
-        if not dfs(S_ID, path):
-            break
-        paths.append(path)
-    return paths
+    def __getitem__(self, u: int) -> list[tuple[int, int]]:
+        g, flow = self.g, self.flow
+        return ([(e, g.head[e]) for e in g.out_adj[u] if flow[e] == 0]
+                + [(e, g.tail[e]) for e in g.in_adj[u] if flow[e] == 1])
 
 
-def round_to_disjoint(h: WellStructuredGraph, path_edge_lists: list[list[int]]
-                      ) -> list[list[int]]:
-    """Round a congested path collection to internally vertex-disjoint paths.
+def disjoint_paths(h: WellStructuredGraph, eids) -> list[list[int]]:
+    """A maximum set of edge-disjoint s-t paths over the edges eids of h.
 
-    Builds the unit-capacity support subgraph of the collection, computes an
-    integral maximum flow by augmenting paths, and decomposes it.  Output
-    cardinality is at least ceil(|P| / max-congestion).
+    Edmonds-Karp over unit capacities, then a decomposition of the flow that
+    follows each vertex's flow edges in id order.  In a residual graph every
+    L vertex has one in-edge and every R vertex one out-edge, so the paths
+    are internally vertex-disjoint as well.
     """
-    if not path_edge_lists:
-        return []
-    support: set[int] = set()
-    usage: dict[int, int] = {}
-    for pe in path_edge_lists:
-        for eid in pe:
-            if not h.g.alive[eid]:
-                raise ValueError(f"path edge {eid} is not alive in the host graph")
-            support.add(eid)
-            usage[eid] = usage.get(eid, 0) + 1
-    eta = max(usage.values())
-    out_adj: dict[int, list[int]] = {}
-    for eid in sorted(support):
-        out_adj.setdefault(h.g.tail[eid], []).append(eid)
-    flow: dict[int, int] = {eid: 0 for eid in support}
-
-    def bfs_augment() -> bool:
-        parent: dict[int, tuple[int, int, int]] = {S_ID: (-1, -1, 0)}
-        dq = deque([S_ID])
-        while dq:
-            u = dq.popleft()
-            if u == T_ID:
-                break
-            for eid in out_adj.get(u, ()):  # forward residual
-                if flow[eid] == 0 and h.g.head[eid] not in parent:
-                    parent[h.g.head[eid]] = (u, eid, +1)
-                    dq.append(h.g.head[eid])
-            for eid in sorted(support):  # backward residual
-                if flow[eid] == 1 and h.g.head[eid] == u and h.g.tail[eid] not in parent:
-                    parent[h.g.tail[eid]] = (u, eid, -1)
-                    dq.append(h.g.tail[eid])
+    g = h.g
+    flow = [-1] * len(g.tail)  # -1: not offered
+    for eid in eids:
+        flow[eid] = 0
+    arcs = _FlowArcs(g, flow)
+    while True:
+        parent = bfs_tree(S_ID, arcs, target=T_ID)
         if T_ID not in parent:
-            return False
-        cur = T_ID
-        while cur != S_ID:
-            prev, eid, direction = parent[cur]
-            flow[eid] += direction
-            cur = prev
-        return True
+            break
+        for eid in tree_path(parent, T_ID)[1]:
+            flow[eid] ^= 1
 
-    while bfs_augment():
-        pass
-
-    # decompose the integral flow into s-t paths
     remaining: dict[int, list[int]] = {}
-    for eid in sorted(support):
-        if flow[eid] == 1:
-            remaining.setdefault(h.g.tail[eid], []).append(eid)
+    for eid, f in enumerate(flow):
+        if f == 1:
+            remaining.setdefault(g.tail[eid], []).append(eid)
     paths: list[list[int]] = []
     while remaining.get(S_ID):
         verts = [S_ID]
@@ -185,8 +109,28 @@ def round_to_disjoint(h: WellStructuredGraph, path_edge_lists: list[list[int]]
             eid = remaining[verts[-1]].pop(0)
             if not remaining[verts[-1]]:
                 del remaining[verts[-1]]
-            verts.append(h.g.head[eid])
+            verts.append(g.head[eid])
         paths.append(verts)
+    return paths
+
+
+def round_to_disjoint(h: WellStructuredGraph, path_edge_lists: list[list[int]]
+                      ) -> list[list[int]]:
+    """Round a congested path collection to internally vertex-disjoint paths.
+
+    Takes disjoint_paths over the support of the collection.  Output
+    cardinality is at least ceil(|P| / max-congestion).
+    """
+    if not path_edge_lists:
+        return []
+    usage: dict[int, int] = {}
+    for pe in path_edge_lists:
+        for eid in pe:
+            if not h.g.alive[eid]:
+                raise ValueError(f"path edge {eid} is not alive in the host graph")
+            usage[eid] = usage.get(eid, 0) + 1
+    eta = max(usage.values())
+    paths = disjoint_paths(h, usage)
     floor = math.ceil(len(path_edge_lists) / eta)
     if len(paths) < floor:
         raise AssertionError(
@@ -238,7 +182,7 @@ def max_matching(g: BipartiteGraph, cfg: DriverConfig | None = None
         if not disjoint:
             fallback = True
             report.fallback_phases += 1
-            disjoint = hk_phase(h)
+            disjoint = disjoint_paths(h, h.g.live_edges())
             if not disjoint:
                 break  # matching is maximum; exact phase will confirm
         matching = augment(g, matching, disjoint)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .constants import Constants, log2c
 from .es_tree import EsTree, INF
-from .graph_core import CoreGraph, DirectedGraph, shortcut_to_simple
+from .graph_core import CoreGraph, DirectedGraph, bfs_tree, shortcut_to_simple, tree_path
 
 
 @dataclass
@@ -394,7 +394,7 @@ def matching_player(
 
     # greedy phase: disjoint single regular edges from A to B
     q1: list[tuple[list[int], list[int]]] = []
-    for eid in sorted(core.live_edges()):
+    for eid in core.live_edges():
         if core.is_special(eid):
             continue
         u, v = core.tail[eid], core.head[eid]
@@ -432,7 +432,7 @@ def matching_player(
             by_spec_level.setdefault((spec, level), []).append(hid)
         return hid
 
-    for eid in sorted(core.live_edges()):
+    for eid in core.live_edges():
         u, v = core.tail[eid], core.head[eid]
         if u not in live_set or v not in live_set:
             continue
@@ -583,54 +583,30 @@ def _greedy_embed(vertices, w_edges, wids, d_tilde, eta, cnst):
     w-edge ids, set of saturated wids)."""
     exp_edges = [(vertices[a], vertices[b]) for a, b in expander_pairs(len(vertices), cnst)]
 
-    out_adj: dict[int, list[int]] = {v: [] for v in vertices}
+    out_adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
     vset = set(vertices)
     for wid in wids:
         u, v = w_edges[wid]
         if u in vset and v in vset:
-            out_adj[u].append(wid)
+            out_adj[u].append((wid, v))
     mu: dict[int, int] = {}
     saturated: set[int] = set()
 
     fake: set[int] = set()
     paths: dict[int, list[int]] = {}
     for idx, (u, v) in enumerate(exp_edges):
-        parent: dict[int, tuple[int, int]] = {u: (-1, -1)}
-        frontier = [u]
-        depth = 0
-        found = False
-        while frontier and depth < d_tilde and not found:
-            nxt = []
-            for a in frontier:
-                for wid in out_adj[a]:
-                    if wid in saturated:
-                        continue
-                    bvert = w_edges[wid][1]
-                    if bvert not in parent:
-                        parent[bvert] = (a, wid)
-                        if bvert == v:
-                            found = True
-                            break
-                        nxt.append(bvert)
-                if found:
-                    break
-            frontier = nxt
-            depth += 1
-        if not found:
+        parent = bfs_tree(u, out_adj, target=v, max_depth=d_tilde)
+        if v not in parent:
             fake.add(idx)
             continue
-        path_ids = []
-        cur = v
-        while cur != u:
-            prev, wid = parent[cur]
-            path_ids.append(wid)
-            cur = prev
-        path_ids.reverse()
+        path_ids = tree_path(parent, v)[1]
         paths[idx] = path_ids
         for wid in path_ids:
             mu[wid] = mu.get(wid, 0) + 1
             if mu[wid] >= eta:
                 saturated.add(wid)
+                a, b = w_edges[wid]
+                out_adj[a].remove((wid, b))
     return exp_edges, fake, paths, saturated
 
 

@@ -89,7 +89,10 @@ class DirectedGraph:
     """Directed multigraph with stable edge ids and tombstone deletion.
 
     Deleting a vertex first deletes its live incident edges, so a live edge
-    always joins two live vertices.
+    always joins two live vertices.  Edge ids grow by one per added edge and
+    adjacency lists are only ever appended to, so out_adj[u], in_adj[v] and
+    every live-edge iterator run in increasing id order.  g[u] lists the live
+    out-arcs (edge id, head) of u, the adjacency bfs_tree reads.
     """
 
     def __init__(self, n: int):
@@ -150,9 +153,6 @@ class DirectedGraph:
             if self.alive[eid]:
                 self.delete_edge(eid)
 
-    def m(self) -> int:
-        return len(self.tail)
-
     def live_vertices(self) -> list[int]:
         return [v for v in range(self.n) if self.vertex_alive[v]]
 
@@ -171,6 +171,9 @@ class DirectedGraph:
             if self.alive[eid]:
                 yield eid
 
+    def __getitem__(self, u: int) -> list[tuple[int, int]]:
+        return [(eid, self.head[eid]) for eid in self.out_adj[u] if self.alive[eid]]
+
 
 class WellStructuredGraph:
     """Residual graph with source/sink, L/R bipartition and special-edge tags."""
@@ -185,12 +188,6 @@ class WellStructuredGraph:
     @property
     def n(self) -> int:
         return self.g.n
-
-    def left_vertices(self):
-        return range(2, 2 + self.n_left)
-
-    def right_vertices(self):
-        return range(2 + self.n_left, 2 + self.n_left + self.n_right)
 
     def is_left(self, v: int) -> bool:
         return 2 <= v < 2 + self.n_left
@@ -281,8 +278,6 @@ def validate_well_structured(h: WellStructuredGraph) -> list[str]:
         if h.special[eid]:
             special_partner.setdefault(u, set()).add(v)
             special_partner.setdefault(v, set()).add(u)
-        elif core_u == "L":
-            pass
         if core_u == "R":
             r_out_heads.setdefault(u, set()).add(v)
         if core_v == "L":
@@ -304,6 +299,19 @@ def validate_well_structured(h: WellStructuredGraph) -> list[str]:
     return report
 
 
+def _in_residual(g: BipartiteGraph, m_set: Matching, a: int, b: int) -> bool:
+    """Whether a->b is an edge of residual_graph(g, m_set), without building it."""
+    nl, nr = g.n_left, g.n_right
+    if a == S_ID:
+        return 0 <= b - 2 < nl and m_set.right_of(b - 2) is None
+    if b == T_ID:
+        return 0 <= a - 2 - nl < nr and m_set.left_of(a - 2 - nl) is None
+    if 0 <= a - 2 < nl:
+        pair = (a - 2, b - 2 - nl)
+        return pair in g.edge_set and pair not in m_set
+    return (b - 2, a - 2 - nl) in m_set
+
+
 def augment(g: BipartiteGraph, m_set: Matching, paths: list[list[int]]) -> Matching:
     """Symmetric-difference m_set with a set of internally disjoint s-t paths.
 
@@ -311,11 +319,7 @@ def augment(g: BipartiteGraph, m_set: Matching, paths: list[list[int]]) -> Match
     be simple, start at the source, end at the sink, and share no internal
     vertex.  Returns a new matching of size len(m_set) + len(paths).
     """
-    h = residual_graph(g, m_set)
-    live_pairs: dict[tuple[int, int], bool] = {}
-    for eid in h.g.live_edges():
-        live_pairs[(h.g.tail[eid], h.g.head[eid])] = h.special[eid]
-
+    m_set.validate(g)
     seen_internal: set[int] = set()
     to_add: list[tuple[int, int]] = []
     to_drop: list[tuple[int, int]] = []
@@ -329,11 +333,11 @@ def augment(g: BipartiteGraph, m_set: Matching, paths: list[list[int]]) -> Match
                 raise ValueError(f"paths share internal vertex {v}")
             seen_internal.add(v)
         for a, b in zip(path, path[1:]):
-            if (a, b) not in live_pairs:
+            if not _in_residual(g, m_set, a, b):
                 raise ValueError(f"edge ({a},{b}) not present in residual graph")
-            if a in (S_ID,) or b in (T_ID,):
+            if a == S_ID or b == T_ID:
                 continue
-            if h.is_left(a):
+            if a < 2 + g.n_left:
                 to_add.append((a - 2, b - 2 - g.n_left))
             else:
                 to_drop.append((b - 2, a - 2 - g.n_left))
@@ -394,6 +398,47 @@ def shortcut_to_simple(verts: list[int], eids: list[int]) -> tuple[list[int], li
                 simple_e.append(eids[i - 1])
             simple_v.append(vtx)
     return simple_v, simple_e
+
+
+def bfs_tree(root, adj, target=None, max_depth: int | None = None) -> dict:
+    """Breadth-first search tree from root, as parent[v] = (u, edge).
+
+    adj[u] is the ordered sequence of (edge, v) pairs tried from u, so the
+    first pair to reach v decides its parent; a DirectedGraph is its own adj.
+    The search stops once target is reached and expands at most max_depth
+    layers.  parent[root] is None; unreached vertices have no entry.
+    """
+    parent = {root: None}
+    if root == target:
+        return parent
+    frontier = [root]
+    depth = 0
+    while frontier and (max_depth is None or depth < max_depth):
+        nxt = []
+        for u in frontier:
+            for e, v in adj[u]:
+                if v not in parent:
+                    parent[v] = (u, e)
+                    if v == target:
+                        return parent
+                    nxt.append(v)
+        frontier = nxt
+        depth += 1
+    return parent
+
+
+def tree_path(parent: dict, v) -> tuple[list, list]:
+    """Vertices and edges of the bfs_tree path from the root to v."""
+    verts, edges = [v], []
+    step = parent[v]
+    while step is not None:
+        u, e = step
+        verts.append(u)
+        edges.append(e)
+        step = parent[u]
+    verts.reverse()
+    edges.reverse()
+    return verts, edges
 
 
 # ------------------------------------------------------------- text format

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .constants import Constants
 from .es_tree import EsTree, INF
 from .expander_tools import Cut, ball_grow, embed_or_cut, sparse_to_well_structured
-from .graph_core import CoreGraph, shortcut_to_simple
+from .graph_core import CoreGraph, bfs_tree, shortcut_to_simple, tree_path
 
 
 class ClusterHalted(Exception):
@@ -284,41 +284,29 @@ class ClusterState:
         return None
 
     def _exp_adjacency(self):
+        """Live real expander arcs (idx, other end) per vertex, in idx order."""
         out: dict[int, list[tuple[int, int]]] = {v: [] for v in self.exp_vertices}
         inn: dict[int, list[tuple[int, int]]] = {v: [] for v in self.exp_vertices}
         for idx, (u, w) in enumerate(self.emb.edges):
             if not self.exp_alive[idx] or idx in self.exp_fake:
                 continue
             if u in self.exp_vertices and w in self.exp_vertices:
-                out[u].append((w, idx))
-                inn[w].append((u, idx))
+                out[u].append((idx, w))
+                inn[w].append((idx, u))
         return out, inn
-
-    def _exp_bfs(self, root: int, adj) -> dict[int, int]:
-        dist = {root: 0}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w, _ in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return dist
 
     def _exp_diameter_violation(self):
         if len(self.exp_vertices) < 2:
             return None
         root = min(self.exp_vertices)
         out, inn = self._exp_adjacency()
-        dist_fwd = self._exp_bfs(root, out)
+        near_fwd = bfs_tree(root, out, max_depth=self.d_hat)
         for v in sorted(self.exp_vertices):
-            if dist_fwd.get(v, INF) > self.d_hat:
+            if v not in near_fwd:
                 return root, v
-        dist_rev = self._exp_bfs(root, inn)
+        near_rev = bfs_tree(root, inn, max_depth=self.d_hat)
         for v in sorted(self.exp_vertices):
-            if dist_rev.get(v, INF) > self.d_hat:
+            if v not in near_rev:
                 return v, root
         return None
 
@@ -457,26 +445,13 @@ class ClusterState:
         x_prime = walk_v[-1]
         out_adj, _ = self._exp_adjacency()
         y_prime = t_out_path[1]
-        # BFS route x' -> y' inside the expander core
-        parent: dict[int, tuple[int, int]] = {x_prime: (-1, -1)}
-        frontier = [x_prime]
-        while frontier and y_prime not in parent:
-            nxt = []
-            for u in frontier:
-                for w, idx in sorted(out_adj[u]):
-                    if w not in parent:
-                        parent[w] = (u, idx)
-                        nxt.append(w)
-            frontier = nxt
+        # BFS route x' -> y' inside the expander core; arcs are tried by
+        # head, then by expander edge index
+        by_head = {u: sorted(arcs, key=lambda arc: arc[1]) for u, arcs in out_adj.items()}
+        parent = bfs_tree(x_prime, by_head, target=y_prime)
         if y_prime not in parent:
             raise AssertionError("expander core disconnected despite cleanup")
-        route: list[int] = []
-        cur = y_prime
-        while cur != x_prime:
-            prev, idx = parent[cur]
-            route.append(idx)
-            cur = prev
-        route.reverse()
+        route = tree_path(parent, y_prime)[1]
         # expand the route through the embedding
         full_v = list(walk_v)
         full_e: list[int] = []
@@ -506,29 +481,8 @@ class ClusterState:
         return eid
 
     def _bfs_route(self, x: int, y: int):
-        core = self.core
-        parent: dict[int, tuple[int, int]] = {x: (-1, -1)}
-        frontier = [x]
-        while frontier and y not in parent:
-            nxt = []
-            for u in frontier:
-                for eid in sorted(core.out_live(u)):
-                    w = core.head[eid]
-                    if w not in parent:
-                        parent[w] = (u, eid)
-                        nxt.append(w)
-            frontier = nxt
-        if y not in parent:
-            return None
-        verts = [y]
-        eids = []
-        while verts[-1] != x:
-            prev, eid = parent[verts[-1]]
-            eids.append(eid)
-            verts.append(prev)
-        verts.reverse()
-        eids.reverse()
-        return verts, eids
+        parent = bfs_tree(x, self.core, target=y)
+        return tree_path(parent, y) if y in parent else None
 
     def delete_edges(self, eids: list[int]) -> None:
         """Delete edges of the most recently returned path."""

@@ -44,7 +44,7 @@ def build_doubling_graph(h: WellStructuredGraph, lam: int):
     levels = n_big.bit_length()  # copies at 2^0 .. 2^(levels-1) = n_big
     hat = WellStructuredGraph(h.n_left, h.n_right, size_m=max(2, h.g.live_m))
     parent: list[int] = []
-    for eid in sorted(h.g.live_edges()):
+    for eid in h.g.live_edges():
         u, v = h.g.tail[eid], h.g.head[eid]
         for j in range(levels):
             hat.add_edge(u, v, length=1 << j, special=h.special[eid])

@@ -247,7 +247,7 @@ class RestrictedSssp:
             self.clusters[cid].sup = dag.add_vertex()
         self.copies: dict[int, dict[int, int]] = {}
         self.dag_payload: dict[int, tuple[int, int]] = {}
-        for eid in sorted(self.graph.g.live_edges()):
+        for eid in self.graph.g.live_edges():
             u, v = self.graph.g.tail[eid], self.graph.g.head[eid]
             cu, cv = self.cluster_of[u], self.cluster_of[v]
             if cu == cv:

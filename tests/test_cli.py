@@ -106,3 +106,20 @@ def test_cli_constants_file(tmp_path, capsys):
     bad.write_text("nonsense = 1\n")
     assert main(["--algo", "paper", "--gen", "random-gnp", "--constants",
                  str(bad)]) == 2
+
+
+def test_cli_maps_unexpected_errors_to_exit_2(monkeypatch, capsys):
+    import bipmatch.cli as cli
+
+    def deep(g):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "hopcroft_karp", deep)
+    rc = main(["--algo", "hk", "--gen", "random-gnp", "--n", "6", "--verify"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2
+    assert err == ["error: RecursionError: maximum recursion depth exceeded"]
+
+    monkeypatch.setattr(cli, "max_matching", lambda *a, **k: 1 / 0)
+    assert main(["--algo", "paper", "--gen", "random-gnp", "--n", "6"]) == 2
+    assert capsys.readouterr().err.startswith("error: ZeroDivisionError")

@@ -2,9 +2,9 @@ import math
 import random
 
 from bipmatch.constants import log2c
-from bipmatch.driver import (DriverConfig, hk_phase, max_matching,
+from bipmatch.driver import (DriverConfig, disjoint_paths, max_matching,
                              round_to_disjoint)
-from bipmatch.graph_core import (BipartiteGraph, Matching, S_ID, T_ID,
+from bipmatch.graph_core import (BipartiteGraph, Matching, S_ID, T_ID, augment,
                                  residual_graph)
 from bipmatch.mwu import mwu_run
 from bipmatch.oracles import hopcroft_karp
@@ -79,13 +79,32 @@ def test_round_to_disjoint_on_mwu_output(cnst):
     assert len(internal) == len(set(internal))
 
 
-def test_hk_phase_finds_disjoint_shortest_paths():
-    g = BipartiteGraph(3, 3, tuple((i, i) for i in range(3)))
-    h = residual_graph(g, Matching())
-    paths = hk_phase(h)
-    assert len(paths) == 3
-    internal = [v for p in paths for v in p[1:-1]]
-    assert len(internal) == len(set(internal))
+def test_disjoint_paths_reach_the_maximum_matching():
+    rng = random.Random(5)
+    for trial in range(60):
+        nl, nr = rng.randint(1, 12), rng.randint(1, 12)
+        g = random_bipartite(rng, nl, nr, rng.choice([0.1, 0.3, 0.6]))
+        full, _ = hopcroft_karp(g)
+        partial = Matching(p for p in sorted(full.pairs) if rng.random() < 0.5)
+        h = residual_graph(g, partial)
+        paths = disjoint_paths(h, h.g.live_edges())
+        assert len(paths) == len(full) - len(partial)
+        internal = [v for p in paths for v in p[1:-1]]
+        assert len(internal) == len(set(internal))
+        assert len(augment(g, partial, paths)) == len(full)
+
+
+def test_disjoint_paths_follows_one_long_augmenting_path():
+    # the reversed-label long path of the benchmark: one augmenting path
+    # through every vertex, with 1500 pairs
+    k = 1500
+    edges = [(k - 1 - i, i) for i in range(k)] + [(k - 1 - i, i - 1) for i in range(1, k)]
+    g = BipartiteGraph(k, k, tuple(edges))
+    partial = Matching((k - 1 - i, i - 1) for i in range(1, k))
+    h = residual_graph(g, partial)
+    paths = disjoint_paths(h, h.g.live_edges())
+    assert len(paths) == 1 and len(paths[0]) == 2 * k + 2
+    assert len(augment(g, partial, paths)) == k
 
 
 def test_phase_progress_with_reference_backend(cnst):

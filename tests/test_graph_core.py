@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipmatch.graph_core import (BipartiteGraph, DirectedGraph, Matching, S_ID, T_ID,
-                                 augment, left_id, parse_graph_text, residual_graph, right_id,
-                                 shortcut_to_simple, validate_well_structured,
-                                 write_graph_text)
+                                 augment, bfs_tree, left_id, parse_graph_text,
+                                 residual_graph, right_id, shortcut_to_simple, tree_path,
+                                 validate_well_structured, write_graph_text)
 from conftest import residual_of_random
 
 
@@ -116,6 +118,41 @@ def test_validate_flags_degree_violations():
     assert any("several partners" in msg or "out-degree" in msg for msg in report)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_augment_accepts_exactly_the_residual_paths(data):
+    nl, nr = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    edges = sorted(data.draw(st.sets(st.tuples(st.integers(0, nl - 1),
+                                               st.integers(0, nr - 1)))))
+    g = BipartiteGraph(nl, nr, tuple(edges))
+    pairs, used_l, used_r = [], set(), set()
+    for u, v in data.draw(st.permutations(edges)):
+        if u not in used_l and v not in used_r and data.draw(st.booleans()):
+            pairs.append((u, v))
+            used_l.add(u)
+            used_r.add(v)
+    m = Matching(pairs)
+    live = edge_pairs(residual_graph(g, m))
+    if data.draw(st.booleans()):
+        # a random walk along residual edges, closed at the sink
+        path = [S_ID]
+        while path[-1] != T_ID:
+            options = sorted(v for a, v in live if a == path[-1] and v not in path)
+            if not options:
+                path.append(T_ID)
+                break
+            path.append(data.draw(st.sampled_from(options)))
+    else:
+        # any simple s-t vertex sequence, ids past the right side included
+        path = [S_ID] + data.draw(st.lists(st.integers(2, g.n + 2), unique=True,
+                                           max_size=g.n)) + [T_ID]
+    if all(step in live for step in zip(path, path[1:])):
+        assert len(augment(g, m, [path])) == len(m) + 1
+    else:
+        with pytest.raises(ValueError):
+            augment(g, m, [path])
+
+
 def test_round_trip_augment_keeps_structure():
     rng = random.Random(5)
     for _ in range(25):
@@ -187,6 +224,54 @@ def test_delete_vertex_tombstones_incident_edges():
     assert g.live_m == 1 and g.live_out[2] == 0 and g.live_in[1] == 0
     with pytest.raises(ValueError):
         g.delete_vertex(0)
+
+
+def test_adjacency_lists_stay_in_id_order():
+    rng = random.Random(3)
+    g = DirectedGraph(4)
+    for _ in range(300):
+        live = g.live_vertices()
+        roll = rng.random()
+        if roll < 0.55 and live:
+            g.add_edge(rng.choice(live), rng.choice(live))
+        elif roll < 0.7:
+            g.add_vertex()
+        elif roll < 0.9 and g.live_m:
+            g.delete_edge(rng.choice(list(g.live_edges())))
+        elif len(live) > 2:
+            g.delete_vertex(rng.choice(live))
+        for v in range(g.n):
+            assert g.out_adj[v] == sorted(g.out_adj[v])
+            assert g.in_adj[v] == sorted(g.in_adj[v])
+            assert g[v] == [(e, g.head[e]) for e in g.out_live(v)]
+    assert g.live_n < g.n and g.live_m < len(g.tail)  # both deletions ran
+
+
+def test_bfs_tree_order_target_and_depth():
+    adj = {0: [("a", 1), ("b", 2)], 1: [("c", 3)], 2: [("d", 3)], 3: [("e", 4)], 4: []}
+    full = bfs_tree(0, adj)
+    assert full == {0: None, 1: (0, "a"), 2: (0, "b"), 3: (1, "c"), 4: (3, "e")}
+    assert tree_path(full, 4) == ([0, 1, 3, 4], ["a", "c", "e"])
+    # the order of adj[u] decides parents
+    assert bfs_tree(0, {**adj, 0: [("b", 2), ("a", 1)]})[3] == (2, "d")
+    # the search stops at the target, before expanding further
+    assert set(bfs_tree(0, adj, target=3)) == {0, 1, 2, 3}
+    # at most max_depth layers are expanded
+    assert set(bfs_tree(0, adj, max_depth=1)) == {0, 1, 2}
+    assert bfs_tree(0, adj, max_depth=0) == {0: None}
+    # root == target, and an unreachable target
+    at_root = bfs_tree(2, adj, target=2)
+    assert at_root == {2: None} and tree_path(at_root, 2) == ([2], [])
+    assert 0 not in bfs_tree(4, adj, target=0)
+
+
+def test_bfs_tree_over_a_directed_graph_skips_dead_edges():
+    g = DirectedGraph(3)
+    for u, v in [(0, 1), (1, 2), (0, 2)]:
+        g.add_edge(u, v)
+    assert tree_path(bfs_tree(0, g, target=2), 2) == ([0, 2], [2])
+    g.delete_edge(2)
+    assert tree_path(bfs_tree(0, g, target=2), 2) == ([0, 1, 2], [0, 1])
 
 
 def test_shortcut_to_simple():
