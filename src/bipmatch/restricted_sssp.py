@@ -13,9 +13,10 @@ deleted.  Two implementations share the interface:
   graph, whose parallel copies carry power-of-two weights bounding the
   position gap their edge skips.
 
-- ReferenceSssp: plain decremental shortest path, recomputed per query,
-  failing exactly when dist(s,t) > 8*lambda.  It satisfies the same contract
-  and anchors differential tests.
+- ReferenceSssp: plain decremental shortest path, one Dijkstra per query
+  over the cheapest live copy of each residual edge, failing exactly when
+  dist(s,t) > 8*lambda.  It satisfies the same contract and anchors
+  differential tests.
 """
 
 from __future__ import annotations
@@ -610,7 +611,16 @@ class RestrictedSssp:
 
 class ReferenceSssp:
     """Plain decremental shortest path: Dijkstra per query, FAIL iff
-    dist(s,t) > 8*lambda.  Meets the restricted-SSSP contract exactly."""
+    dist(s,t) > 8*lambda.  Meets the restricted-SSSP contract exactly.
+
+    Edges may be deleted, never added: __init__ groups each vertex's live
+    out-edges by head into bundles sorted by (length, id) with the cheapest
+    copy last, and a query raises ValueError if the graph has gained edges
+    since.  A query relaxes only the cheapest live copy of each bundle, which
+    leaves every (dist, parent edge) at the same lexicographic minimum as
+    relaxing every copy, and stops once t is settled or the settled distance
+    passes 8*lambda.
+    """
 
     def __init__(self, graph: WellStructuredGraph, delta: int, m_param: int,
                  cnst: Constants | None = None, lam: int | None = None,
@@ -622,6 +632,17 @@ class ReferenceSssp:
         self.failed = False
         self.last_path: set[int] = set()
         self.stats = {"queries": 0, "fails": 0}
+        g = graph.g
+        self._edges_built = len(g.tail)
+        self._bundles: list[list[list[int]]] = []
+        for u in range(g.n):
+            by_head: dict[int, list[int]] = {}
+            for eid in g.out_live(u):
+                by_head.setdefault(g.head[eid], []).append(eid)
+            self._bundles.append([
+                sorted(b, key=lambda e: (g.length[e], e), reverse=True)
+                for b in by_head.values()
+            ])
 
     def query(self):
         if self.failed:
@@ -629,25 +650,42 @@ class ReferenceSssp:
         if self.queries_done >= self.delta:
             raise ValueError("query budget exhausted")
         g = self.graph.g
+        if len(g.tail) != self._edges_built:
+            raise ValueError("edges were added after construction; "
+                             "ReferenceSssp only supports deletions")
+        alive, head, length = g.alive, g.head, g.length
+        heappop, heappush = heapq.heappop, heapq.heappush
+        cap = 8 * self.lam
         dist: list[float] = [INF] * g.n
         best_edge: list[int | None] = [None] * g.n
         dist[S_ID] = 0
         heap = [(0, S_ID)]
         while heap:
-            d, u = heapq.heappop(heap)
+            d, u = heappop(heap)
             if d > dist[u]:
                 continue
-            for eid in g.out_adj[u]:
-                if not g.alive[eid]:
-                    continue
-                v = g.head[eid]
-                nd = d + g.length[eid]
-                if nd < dist[v] or (nd == dist[v] and best_edge[v] is not None
-                                    and eid < best_edge[v]):
+            if u == T_ID or d > cap:
+                break
+            for bundle in self._bundles[u]:
+                eid = bundle[-1]
+                if not alive[eid]:
+                    # pop dead copies but keep the bottom one, dead or
+                    # alive, so bundle[-1] always exists
+                    while len(bundle) > 1 and not alive[bundle[-1]]:
+                        bundle.pop()
+                    eid = bundle[-1]
+                    if not alive[eid]:
+                        continue
+                v = head[eid]
+                nd = d + length[eid]
+                dv = dist[v]
+                if nd < dv:
                     dist[v] = nd
                     best_edge[v] = eid
-                    heapq.heappush(heap, (nd, v))
-        if dist[T_ID] > 8 * self.lam:
+                    heappush(heap, (nd, v))
+                elif nd == dv and eid < best_edge[v]:
+                    best_edge[v] = eid
+        if dist[T_ID] > cap:
             self.failed = True
             self.stats["fails"] += 1
             return None

@@ -50,13 +50,26 @@ def test_cli_csv_schema(capsys):
     assert rc == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == CSV_HEADER
-    n_fields = len(CSV_HEADER.split(","))
+    columns = CSV_HEADER.split(",")
+    assert len(columns) == 20
     for row in out[1:]:
         fields = row.split(",")
-        assert len(fields) == n_fields
-        assert fields[-1] == "yes"
+        assert len(fields) == len(columns)
+        assert fields[columns.index("verified")] == "yes"
         for counter in fields[9:17]:
             assert float(counter) >= 0
+        assert fields[18:] == ["0", "0"]  # shatters, cluster_queries: no clusters here
+
+
+def test_cli_reports_full_backend_cluster_counters(capsys):
+    rc = main(["--algo", "paper", "--backend", "full", "--gen", "two-blocks",
+               "--n", "24", "--p", "0.4", "--seed", "3", "--verify", "--csv", "-"])
+    assert rc == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["verified"] == "yes" and int(fields["phases"]) >= 1
+    assert int(fields["shatters"]) >= 1  # the one MWU phase shatters a cluster
+    assert int(fields["cluster_queries"]) >= 0
 
 
 def test_cli_verify_many_seeds(capsys):

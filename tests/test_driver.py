@@ -1,7 +1,11 @@
+import dataclasses
 import math
 import random
 
-from bipmatch.constants import log2c
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bipmatch.constants import Constants, log2c
 from bipmatch.driver import (DriverConfig, disjoint_paths, max_matching,
                              round_to_disjoint)
 from bipmatch.graph_core import (BipartiteGraph, Matching, S_ID, T_ID, augment,
@@ -141,3 +145,20 @@ def test_report_counts_are_consistent():
     assert rep.matching_size == len(matching)
     assert rep.exact_augmentations >= 0
     assert all(ph.rounded >= 1 or ph.fallback for ph in rep.phases)
+
+
+LOW_GATE = DriverConfig(delta_star=1, constants=dataclasses.replace(
+    Constants.desk(), mwu_gate_coeff=0.25, mwu_min_edges=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_paper_matches_hopcroft_karp_with_a_low_mwu_gate(data):
+    # a low gate sends almost every phase through MWU and its SSSP backend
+    nl, nr = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
+    p = data.draw(st.floats(0.05, 1.0))
+    g = random_bipartite(random.Random(data.draw(st.integers(0, 2**32))), nl, nr, p)
+    want = len(hopcroft_karp(g)[0])
+    for backend in ("reference", "full"):
+        cfg = dataclasses.replace(LOW_GATE, backend=backend)
+        assert len(max_matching(g, cfg)[0]) == want

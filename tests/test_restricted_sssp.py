@@ -1,10 +1,14 @@
+import heapq
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipmatch.constants import Constants
 from bipmatch.graph_core import (BipartiteGraph, Matching, S_ID, T_ID,
-                                 residual_graph)
+                                 WellStructuredGraph, residual_graph)
 from bipmatch.oracles import dijkstra
 from bipmatch.restricted_sssp import ReferenceSssp, RestrictedSssp
 from conftest import random_bipartite
@@ -207,3 +211,74 @@ def test_bad_edge_budget_instrumented():
         else:           # leaf: owns at most its own special pairs
             cap = origin
         assert rec.bad_edges <= cap, (cid, rec.bad_edges, cap)
+
+
+def every_copy_dijkstra(g, cap):
+    """Dijkstra over every live copy, keeping the lexicographically least
+    (dist, edge id) per vertex; the path to t, or None iff dist(t) > cap."""
+    dist = [math.inf] * g.n
+    best_edge = [None] * g.n
+    dist[S_ID] = 0
+    heap = [(0, S_ID)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for eid in g.out_adj[u]:
+            if not g.alive[eid]:
+                continue
+            v = g.head[eid]
+            nd = d + g.length[eid]
+            if nd < dist[v] or (nd == dist[v] and best_edge[v] is not None
+                                and eid < best_edge[v]):
+                dist[v] = nd
+                best_edge[v] = eid
+                heapq.heappush(heap, (nd, v))
+    if dist[T_ID] > cap:
+        return None
+    verts, eids = [T_ID], []
+    while verts[-1] != S_ID:
+        eids.append(best_edge[verts[-1]])
+        verts.append(g.tail[eids[-1]])
+    return verts[::-1], eids[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reference_matches_every_copy_dijkstra(data):
+    nl, nr = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    n = 2 + nl + nr
+    arcs = [(u, v) for u in range(n) for v in range(n)
+            if u != v and u != T_ID and v != S_ID]
+    pairs = data.draw(st.sets(st.sampled_from(arcs), min_size=n, max_size=3 * n))
+    # copies of one pair may share a length, and all copies go in shuffled
+    copies = [(u, v, ln) for u, v in sorted(pairs)
+              for ln in data.draw(st.lists(st.sampled_from([1, 2, 4, 8]),
+                                           min_size=1, max_size=4))]
+    copies = data.draw(st.permutations(copies))
+    h = WellStructuredGraph(nl, nr, size_m=len(copies))
+    for u, v, ln in copies:
+        h.add_edge(u, v, length=ln)
+    ref = ReferenceSssp(h, delta=40, m_param=h.g.live_m, lam=data.draw(st.integers(1, 3)))
+    while ref.queries_done < ref.delta:
+        want = every_copy_dijkstra(h.g, 8 * ref.lam)
+        got = ref.query()
+        assert got == want
+        if got is None:
+            break
+        ref.delete_path_edges(got[1])
+        others = list(h.g.live_edges())
+        if others:
+            for eid in data.draw(st.sets(st.sampled_from(others), max_size=3)):
+                h.g.delete_edge(eid)
+
+
+def test_reference_rejects_edges_added_after_construction():
+    h = disjoint_paths_residual(3)
+    ref = ReferenceSssp(h, delta=3, m_param=h.g.live_m)
+    res = ref.query()
+    assert res is not None
+    ref.delete_path_edges(res[1])
+    h.add_edge(S_ID, T_ID, length=1)
+    with pytest.raises(ValueError, match="added"):
+        ref.query()
