@@ -18,7 +18,7 @@ from .oracles import ford_fulkerson_matching, hopcroft_karp
 
 CSV_HEADER = ("generator,seed,n_left,n_right,m,algo,backend,matching,wall_ms,"
               "phases,paths,cuts,max_congestion,es_scans,dag_work,fallbacks,"
-              "exact_augments,verified,shatters,cluster_queries")
+              "exact_augments,verified,shatters,cluster_queries,clusters_spawned")
 
 
 def generate(kind: str, params: dict, seed: int) -> BipartiteGraph:
@@ -75,7 +75,7 @@ def _run_one(g: BipartiteGraph, algo: str, backend: str, cnst: Constants,
     t0 = time.perf_counter()
     counters = {"phases": 0, "paths": 0, "cuts": 0, "max_congestion": 0,
                 "es_scans": 0, "dag_work": 0, "fallbacks": 0, "exact_augments": 0,
-                "shatters": 0, "cluster_queries": 0}
+                "shatters": 0, "cluster_queries": 0, "clusters_spawned": 0}
     if algo == "hk":
         matching, phases = hopcroft_karp(g)
         counters["phases"] = phases
@@ -92,6 +92,7 @@ def _run_one(g: BipartiteGraph, algo: str, backend: str, cnst: Constants,
         counters["dag_work"] = report.backend_stats.get("dag_work", 0)
         counters["shatters"] = report.backend_stats.get("shatters", 0)
         counters["cluster_queries"] = report.backend_stats.get("cluster_queries", 0)
+        counters["clusters_spawned"] = report.backend_stats.get("clusters_spawned", 0)
         counters["fallbacks"] = report.fallback_phases
         counters["exact_augments"] = report.exact_augmentations
         if trace:
@@ -183,7 +184,8 @@ def main(argv: list[str] | None = None) -> int:
                     f"{counters['cuts']},{counters['max_congestion']},"
                     f"{counters['es_scans']},{counters['dag_work']},"
                     f"{counters['fallbacks']},{counters['exact_augments']},{verified},"
-                    f"{counters['shatters']},{counters['cluster_queries']}"
+                    f"{counters['shatters']},{counters['cluster_queries']},"
+                    f"{counters['clusters_spawned']}"
                 )
     except Exception as exc:  # any failure of a run or of the oracle is exit 2
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

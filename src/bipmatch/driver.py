@@ -15,8 +15,9 @@ import time
 from dataclasses import dataclass, field
 
 from .constants import Constants
-from .graph_core import (BipartiteGraph, Matching, S_ID, T_ID, WellStructuredGraph,
-                         augment, bfs_tree, residual_graph, tree_path)
+from .graph_core import (BipartiteGraph, Matching, ResidualView, S_ID, T_ID,
+                         WellStructuredGraph, augment, bfs_tree, residual_graph,
+                         tree_path)
 from .mwu import mwu_run
 
 
@@ -58,9 +59,9 @@ def _delta_star(n: int, m: int) -> int:
     return max(1, round(n ** (5 / 3) / m ** (2 / 3)))
 
 
-def find_augmenting_path(h: WellStructuredGraph) -> list[int] | None:
+def find_augmenting_path(h: WellStructuredGraph | ResidualView) -> list[int] | None:
     """BFS for any s-t path in the residual graph; returns the vertex sequence."""
-    parent = bfs_tree(S_ID, h.g, target=T_ID)
+    parent = bfs_tree(S_ID, h, target=T_ID)
     return tree_path(parent, T_ID)[0] if T_ID in parent else None
 
 
@@ -164,11 +165,15 @@ def max_matching(g: BipartiteGraph, cfg: DriverConfig | None = None
         delta_hat = cap - len(matching)
         if delta_hat <= 0:
             break
-        h = residual_graph(g, matching)
-        m = h.g.live_m
+        # live edges of the residual graph: one per graph edge, plus s->u and
+        # v->t for each free vertex
+        m = len(g.edges) + g.n - 2 * len(matching)
         if (delta_hat < delta_star or m < cnst.mwu_min_edges
                 or delta_hat < cnst.mwu_gate(m)):
             break
+        h = residual_graph(g, matching)
+        if h.g.live_m != m:
+            raise AssertionError(f"residual graph has {h.g.live_m} edges, expected {m}")
         t0 = time.perf_counter()
         result = mwu_run(h, delta_hat, backend=cfg.backend, cnst=cnst,
                          checked=cfg.checked)
@@ -195,12 +200,13 @@ def max_matching(g: BipartiteGraph, cfg: DriverConfig | None = None
         ))
 
     # exact finishing phase
+    view = ResidualView(g, matching)
     while len(matching) < cap:
-        h = residual_graph(g, matching)
-        path = find_augmenting_path(h)
+        path = find_augmenting_path(view)
         if path is None:
             break
         matching = augment(g, matching, [path])
+        view.m_set = matching
         report.exact_augmentations += 1
 
     report.matching_size = len(matching)

@@ -200,6 +200,9 @@ class WellStructuredGraph:
         self.special.append(special)
         return eid
 
+    def __getitem__(self, u: int) -> list[tuple[int, int]]:
+        return self.g[u]
+
     def side_of(self, v: int) -> str:
         if v == S_ID:
             return "s"
@@ -240,6 +243,37 @@ def residual_graph(g: BipartiteGraph, m_set: Matching) -> WellStructuredGraph:
             h.add_edge(right_id(g, v), T_ID)
     h.size_m = max(2, h.g.live_m)
     return h
+
+
+class ResidualView:
+    """adj[u] of residual_graph(g, m_set), read from g and m_set instead of
+    built: the same heads in the same order, so bfs_tree grows the same tree.
+
+    s lists the free left vertices, a left vertex its neighbours minus its
+    mate, a right vertex its mate or else t.  Arcs carry no edge id (None).
+    Assign the augmented matching to m_set to follow it.
+    """
+
+    def __init__(self, g: BipartiteGraph, m_set: Matching):
+        self.g = g
+        self.m_set = m_set
+        self.arcs: list[list[tuple[None, int]]] = [[] for _ in range(g.n_left)]
+        for u, v in sorted(g.edges):
+            self.arcs[u].append((None, right_id(g, v)))
+
+    def __getitem__(self, a: int) -> list[tuple[None, int]]:
+        g, m_set = self.g, self.m_set
+        if a == S_ID:
+            return [(None, left_id(g, u)) for u in range(g.n_left)
+                    if m_set.right_of(u) is None]
+        if a == T_ID:
+            return []
+        if a < 2 + g.n_left:
+            mate = m_set.right_of(a - 2)
+            skip = None if mate is None else right_id(g, mate)
+            return [arc for arc in self.arcs[a - 2] if arc[1] != skip]
+        u = m_set.left_of(a - 2 - g.n_left)
+        return [(None, T_ID if u is None else left_id(g, u))]
 
 
 def validate_well_structured(h: WellStructuredGraph) -> list[str]:

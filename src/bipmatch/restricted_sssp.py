@@ -80,7 +80,7 @@ class RestrictedSssp:
         self.stats = {
             "queries": 0, "fails": 0, "cuts": 0, "splits": 0, "shatters": 0,
             "emergency_shatters": 0, "over_2lam": 0,
-            "cluster_queries": 0, "es_scans": 0, "dag_work": 0,
+            "cluster_queries": 0, "es_scans": 0, "dag_work": 0, "clusters_spawned": 0,
         }
 
         # simple short-edge graph bookkeeping
@@ -161,6 +161,7 @@ class RestrictedSssp:
 
     def _spawn_state(self, cid: int) -> None:
         rec = self.clusters[cid]
+        self.stats["clusters_spawned"] += 1
         rec.d_star = max(1, math.floor(self._d_x(rec.size)))
         rec.origin_size = rec.size
         rec.local2global = sorted(rec.members)

@@ -51,14 +51,15 @@ def test_cli_csv_schema(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == CSV_HEADER
     columns = CSV_HEADER.split(",")
-    assert len(columns) == 20
+    assert len(columns) == 21
     for row in out[1:]:
         fields = row.split(",")
         assert len(fields) == len(columns)
         assert fields[columns.index("verified")] == "yes"
         for counter in fields[9:17]:
             assert float(counter) >= 0
-        assert fields[18:] == ["0", "0"]  # shatters, cluster_queries: no clusters here
+        # shatters, cluster_queries, clusters_spawned: no clusters here
+        assert fields[18:] == ["0", "0", "0"]
 
 
 def test_cli_reports_full_backend_cluster_counters(capsys):
@@ -70,6 +71,7 @@ def test_cli_reports_full_backend_cluster_counters(capsys):
     assert fields["verified"] == "yes" and int(fields["phases"]) >= 1
     assert int(fields["shatters"]) >= 1  # the one MWU phase shatters a cluster
     assert int(fields["cluster_queries"]) >= 0
+    assert int(fields["clusters_spawned"]) >= 0
 
 
 def test_cli_verify_many_seeds(capsys):

@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipmatch import driver
 from bipmatch.constants import Constants, log2c
 from bipmatch.driver import (DriverConfig, disjoint_paths, max_matching,
                              round_to_disjoint)
@@ -109,6 +110,26 @@ def test_disjoint_paths_follows_one_long_augmenting_path():
     paths = disjoint_paths(h, h.g.live_edges())
     assert len(paths) == 1 and len(paths[0]) == 2 * k + 2
     assert len(augment(g, partial, paths)) == k
+
+
+def test_exact_phase_builds_no_residual_graph(monkeypatch):
+    # the reversed-label long path: every one of its 600 augmenting paths
+    # comes from the exact phase, which reads the residual adjacency
+    k = 600
+    edges = [(k - 1 - i, i) for i in range(k)] + [(k - 1 - i, i - 1) for i in range(1, k)]
+    g = BipartiteGraph(k, k, tuple(edges))
+    builds = []
+
+    def counting_residual_graph(*args):
+        builds.append(args)
+        return residual_graph(*args)
+
+    monkeypatch.setattr(driver, "residual_graph", counting_residual_graph)
+    matching, rep = max_matching(g)
+    assert len(matching) == k
+    matching.validate(g)
+    assert rep.exact_augmentations == k and rep.phases == []
+    assert builds == []
 
 
 def test_phase_progress_with_reference_backend(cnst):

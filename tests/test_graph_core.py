@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipmatch.graph_core import (BipartiteGraph, DirectedGraph, Matching, S_ID, T_ID,
-                                 augment, bfs_tree, left_id, parse_graph_text,
+from bipmatch.graph_core import (BipartiteGraph, DirectedGraph, Matching, ResidualView,
+                                 S_ID, T_ID, augment, bfs_tree, left_id, parse_graph_text,
                                  residual_graph, right_id, shortcut_to_simple, tree_path,
                                  validate_well_structured, write_graph_text)
 from conftest import residual_of_random
@@ -151,6 +151,27 @@ def test_augment_accepts_exactly_the_residual_paths(data):
     else:
         with pytest.raises(ValueError):
             augment(g, m, [path])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_residual_view_lists_the_residual_heads_in_order(data):
+    nl, nr = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(nl) for v in range(nr)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs
+                      else st.just([]))
+    g = BipartiteGraph(nl, nr, tuple(edges))
+    matched, used_l, used_r = [], set(), set()
+    greedy = data.draw(st.booleans())  # a maximal matching, often perfect
+    for u, v in data.draw(st.permutations(edges)):
+        if u not in used_l and v not in used_r and (greedy or data.draw(st.booleans())):
+            matched.append((u, v))
+            used_l.add(u)
+            used_r.add(v)
+    m = Matching(matched)
+    h, view = residual_graph(g, m), ResidualView(g, m)
+    for u in range(h.n):
+        assert [v for _, v in view[u]] == [v for _, v in h.g[u]]
 
 
 def test_round_trip_augment_keeps_structure():
