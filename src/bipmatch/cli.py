@@ -19,6 +19,9 @@ from .oracles import ford_fulkerson_matching, hopcroft_karp
 CSV_HEADER = ("generator,seed,n_left,n_right,m,algo,backend,matching,wall_ms,"
               "phases,paths,cuts,max_congestion,es_scans,dag_work,fallbacks,"
               "exact_augments,verified,shatters,cluster_queries,clusters_spawned")
+COLUMNS = CSV_HEADER.split(",")
+# every column after wall_ms except verified is a per-run counter
+COUNTERS = [c for c in COLUMNS[COLUMNS.index("wall_ms") + 1:] if c != "verified"]
 
 
 def generate(kind: str, params: dict, seed: int) -> BipartiteGraph:
@@ -73,9 +76,7 @@ def generate(kind: str, params: dict, seed: int) -> BipartiteGraph:
 def _run_one(g: BipartiteGraph, algo: str, backend: str, cnst: Constants,
              target: int | None, trace: bool):
     t0 = time.perf_counter()
-    counters = {"phases": 0, "paths": 0, "cuts": 0, "max_congestion": 0,
-                "es_scans": 0, "dag_work": 0, "fallbacks": 0, "exact_augments": 0,
-                "shatters": 0, "cluster_queries": 0, "clusters_spawned": 0}
+    counters = dict.fromkeys(COUNTERS, 0)
     if algo == "hk":
         matching, phases = hopcroft_karp(g)
         counters["phases"] = phases
@@ -84,17 +85,12 @@ def _run_one(g: BipartiteGraph, algo: str, backend: str, cnst: Constants,
     elif algo == "paper":
         cfg = DriverConfig(constants=cnst, backend=backend, target=target)
         matching, report = max_matching(g, cfg)
-        counters["phases"] = report.phase_count()
-        counters["paths"] = sum(p.rounded for p in report.phases)
-        counters["cuts"] = report.backend_stats.get("cuts", 0)
-        counters["max_congestion"] = report.max_congestion
-        counters["es_scans"] = report.backend_stats.get("es_scans", 0)
-        counters["dag_work"] = report.backend_stats.get("dag_work", 0)
-        counters["shatters"] = report.backend_stats.get("shatters", 0)
-        counters["cluster_queries"] = report.backend_stats.get("cluster_queries", 0)
-        counters["clusters_spawned"] = report.backend_stats.get("clusters_spawned", 0)
-        counters["fallbacks"] = report.fallback_phases
-        counters["exact_augments"] = report.exact_augmentations
+        counters.update((k, v) for k, v in report.backend_stats.items() if k in counters)
+        counters.update(phases=report.phase_count(),
+                        paths=sum(p.rounded for p in report.phases),
+                        max_congestion=report.max_congestion,
+                        fallbacks=report.fallback_phases,
+                        exact_augments=report.exact_augmentations)
         if trace:
             for i, ph in enumerate(report.phases):
                 print(f"# phase {i}: delta={ph.delta} collected={ph.collected} "
@@ -177,16 +173,12 @@ def main(argv: list[str] | None = None) -> int:
                         ok = False
                         print(f"verification FAILED: {gen_name} seed={seed} algo={algo} "
                               f"got {len(matching)} expected {expect}", file=sys.stderr)
-                rows.append(
-                    f"{gen_name},{seed},{g.n_left},{g.n_right},{len(g.edges)},{algo},"
-                    f"{args.backend if algo == 'paper' else ''},{len(matching)},"
-                    f"{wall_ms:.2f},{counters['phases']},{counters['paths']},"
-                    f"{counters['cuts']},{counters['max_congestion']},"
-                    f"{counters['es_scans']},{counters['dag_work']},"
-                    f"{counters['fallbacks']},{counters['exact_augments']},{verified},"
-                    f"{counters['shatters']},{counters['cluster_queries']},"
-                    f"{counters['clusters_spawned']}"
-                )
+                row = dict(counters, generator=gen_name, seed=seed, n_left=g.n_left,
+                           n_right=g.n_right, m=len(g.edges), algo=algo,
+                           backend=args.backend if algo == "paper" else "",
+                           matching=len(matching), wall_ms=f"{wall_ms:.2f}",
+                           verified=verified)
+                rows.append(",".join(str(row[c]) for c in COLUMNS))
     except Exception as exc:  # any failure of a run or of the oracle is exit 2
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

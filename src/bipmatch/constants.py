@@ -171,9 +171,6 @@ class Constants:
         extra = 2 * self.matching_z(n) * max(1, rounds) * self.cut_player_eta(n)
         return self.expander_fake_budget(n) + extra
 
-    def embed_min_side(self, n: int) -> int:
-        return self.matching_z(n)
-
     # MaintainCluster derived parameters.
 
     def cluster_d(self, n: int, d_star: int) -> int:

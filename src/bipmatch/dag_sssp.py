@@ -23,6 +23,7 @@ import heapq
 import math
 
 from .constants import log2c
+from .graph_core import edge_chain
 
 INF = math.inf
 
@@ -386,15 +387,7 @@ class DagSssp:
         if self.failed or self.est[self.t] > self.fail_threshold:
             self.failed = True
             return None
-        eids: list[int] = []
-        cur = self.t
-        while cur != self.s:
-            pe = self.parent_edge[cur]
-            if pe is None:
-                raise AssertionError(f"tree vertex {cur} has no parent edge")
-            eids.append(pe)
-            cur = self.tail[pe]
-        eids.reverse()
+        eids = edge_chain(self.parent_edge, self.tail, self.s, self.t)
         if self.checked:
             total = sum(self.ell0[e] for e in eids)
             k = self.k

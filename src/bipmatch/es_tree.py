@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 
-from .graph_core import DirectedGraph
+from .graph_core import DirectedGraph, edge_chain
 
 INF = float("inf")
 
@@ -83,30 +83,13 @@ class EsTree(DirectedGraph):
 
     def path_to(self, v: int) -> list[int] | None:
         """Vertex sequence root..v of exact total length level(v), or None."""
-        if self.level[v] == INF:
-            return None
-        seq = [v]
-        while seq[-1] != self.root:
-            eid = self.parent_edge[seq[-1]]
-            if eid is None:
-                raise AssertionError(f"tree vertex {seq[-1]} has no parent edge")
-            seq.append(self.tail[eid])
-        seq.reverse()
-        return seq
+        eids = self.path_edges_to(v)
+        return None if eids is None else [self.root] + [self.head[e] for e in eids]
 
     def path_edges_to(self, v: int) -> list[int] | None:
         if self.level[v] == INF:
             return None
-        out = []
-        cur = v
-        while cur != self.root:
-            eid = self.parent_edge[cur]
-            if eid is None:
-                raise AssertionError(f"tree vertex {cur} has no parent edge")
-            out.append(eid)
-            cur = self.tail[eid]
-        out.reverse()
-        return out
+        return edge_chain(self.parent_edge, self.tail, self.root, v)
 
     # --------------------------------------------------------------- deletion
 

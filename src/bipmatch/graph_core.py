@@ -26,6 +26,8 @@ class BipartiteGraph:
     edge_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.n_left < 0 or self.n_right < 0:
+            raise ValueError(f"negative side size ({self.n_left},{self.n_right})")
         seen = set()
         for u, v in self.edges:
             if not (0 <= u < self.n_left and 0 <= v < self.n_right):
@@ -461,6 +463,20 @@ def bfs_tree(root, adj, target=None, max_depth: int | None = None) -> dict:
     return parent
 
 
+def edge_chain(parent_edge, tail, root: int, v: int) -> list[int]:
+    """Edge ids of the path root..v in the tree given by parent_edge[x] (the
+    id of the edge into x, None at the root) and tail[edge]."""
+    eids: list[int] = []
+    while v != root:
+        eid = parent_edge[v]
+        if eid is None:
+            raise AssertionError(f"tree vertex {v} has no parent edge")
+        eids.append(eid)
+        v = tail[eid]
+    eids.reverse()
+    return eids
+
+
 def tree_path(parent: dict, v) -> tuple[list, list]:
     """Vertices and edges of the bfs_tree path from the root to v."""
     verts, edges = [v], []
@@ -488,7 +504,11 @@ def parse_graph_text(text: str) -> BipartiteGraph:
         if tokens[0] == "p":
             if len(tokens) != 5 or tokens[1] != "bm":
                 raise ValueError(f"line {lineno}: bad problem line {raw!r}")
+            if n_left is not None:
+                raise ValueError(f"line {lineno}: second problem line")
             n_left, n_right, m_declared = (int(t) for t in tokens[2:])
+            if n_left < 0 or n_right < 0:
+                raise ValueError(f"line {lineno}: negative side size in {raw!r}")
         elif tokens[0] == "e":
             if n_left is None:
                 raise ValueError(f"line {lineno}: edge before problem line")

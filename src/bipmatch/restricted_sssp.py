@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .constants import Constants, log2c, raw_lambda
 from .dag_sssp import DagSssp
-from .graph_core import CoreGraph, WellStructuredGraph, S_ID, T_ID
+from .graph_core import CoreGraph, DirectedGraph, WellStructuredGraph, S_ID, T_ID, edge_chain
 from .maintain_cluster import ClusterContractError, ClusterState
 
 INF = math.inf
@@ -36,6 +36,16 @@ INF = math.inf
 def _min_exp(skip: int) -> int:
     """Smallest i with 2^i >= skip (skip >= 1)."""
     return (skip - 1).bit_length()
+
+
+def _out_bundles(g: DirectedGraph, u: int) -> list[list[int]]:
+    """u's live out-edges grouped by head, each group sorted by (length, id)
+    with the cheapest copy last, so dead copies pop off the end."""
+    by_head: dict[int, list[int]] = {}
+    for eid in g.out_live(u):
+        by_head.setdefault(g.head[eid], []).append(eid)
+    return [sorted(b, key=lambda e: (g.length[e], e), reverse=True)
+            for b in by_head.values()]
 
 
 @dataclass
@@ -86,10 +96,10 @@ class RestrictedSssp:
         # simple short-edge graph bookkeeping
         self.short_mult: dict[tuple[int, int], int] = {}
         self.out_pairs: list[set[int]] = [set() for _ in range(n)]
-        self.pair_geids: dict[tuple[int, int], list[int]] = {}
+        self.pair_geids = {(u, graph.g.head[b[0]]): b
+                           for u in range(n) for b in _out_bundles(graph.g, u)}
         for eid in graph.g.live_edges():
             u, v = graph.g.tail[eid], graph.g.head[eid]
-            self.pair_geids.setdefault((u, v), []).append(eid)
             if graph.g.length[eid] < self.long_threshold:
                 self.short_mult[(u, v)] = self.short_mult.get((u, v), 0) + 1
                 self.out_pairs[u].add(v)
@@ -198,10 +208,8 @@ class RestrictedSssp:
         new_cid = self._new_record(listed_glob, z_start)
         self.stats["splits"] += 1
         if self.dag is not None:
-            self._split_supernode(cid, new_cid)
+            self._rehome(cid, [new_cid])
         self._pending.append(new_cid)
-        if self.checked and self.dag is not None:
-            self.dag.check_p1()
 
     def _shatter(self, cid: int) -> None:
         """Replace a leaf cluster by singletons, left side first."""
@@ -219,21 +227,13 @@ class RestrictedSssp:
             for h in self.out_pairs[u]:
                 if h in rec.members:
                     rec.bad_edges += 1
-        old_members = set(rec.members)
-        keep = order[0]
-        old_start = rec.start
-        pos = {v: old_start + i for i, v in enumerate(order)}
-        rec.members = {keep}
+        rec.members = {order[0]}
         rec.size = 1
-        rec.start = pos[keep]
         rec.state = None
-        new_cids: list[int] = []
-        for v in order[1:]:
-            new_cids.append(self._new_record({v}, pos[v]))
+        new_cids = [self._new_record({v}, pos)
+                    for pos, v in enumerate(order[1:], rec.start + 1)]
         if self.dag is not None:
-            self._shatter_supernode(cid, new_cids, old_members, keep)
-            if self.checked:
-                self.dag.check_p1()
+            self._rehome(cid, new_cids)
 
     # ------------------------------------------------------------ dag plumbing
 
@@ -247,21 +247,12 @@ class RestrictedSssp:
         rest = sorted(c for c in self.clusters if c not in (s_cid, t_cid))
         for cid in [s_cid, t_cid] + rest:
             self.clusters[cid].sup = dag.add_vertex()
-        self.copies: dict[int, dict[int, int]] = {}
+        g = self.graph.g
+        crossing = [eid for eid in g.live_edges()
+                    if self.cluster_of[g.tail[eid]] != self.cluster_of[g.head[eid]]]
         self.dag_payload: dict[int, tuple[int, int]] = {}
-        for eid in self.graph.g.live_edges():
-            u, v = self.graph.g.tail[eid], self.graph.g.head[eid]
-            cu, cv = self.cluster_of[u], self.cluster_of[v]
-            if cu == cv:
-                continue
-            skip = self._skip(u, v)
-            per: dict[int, int] = {}
-            for i in range(_min_exp(skip), self.max_exp + 1):
-                deid = dag.add_edge(self.clusters[cu].sup, self.clusters[cv].sup,
-                                    self.graph.g.length[eid], 1 << i)
-                per[i] = deid
-                self.dag_payload[deid] = (eid, i)
-            self.copies[eid] = per
+        self.copies = self._place_copies(
+            crossing, lambda specs: [dag.add_edge(*spec) for spec in specs])
         dag.finalize()
         self.dag = dag
         if self.checked:
@@ -284,61 +275,6 @@ class RestrictedSssp:
             return u_hi - v_lo
         return 0
 
-    def _edges_touching(self, verts: set[int]):
-        seen = set()
-        g = self.graph.g
-        for v in verts:
-            for eid in g.out_adj[v]:
-                if g.alive[eid] and eid not in seen:
-                    seen.add(eid)
-                    yield eid
-            for eid in g.in_adj[v]:
-                if g.alive[eid] and eid not in seen:
-                    seen.add(eid)
-                    yield eid
-
-    def _split_supernode(self, cid: int, new_cid: int) -> None:
-        dag = self.dag
-        if dag is None:
-            raise AssertionError("contracted graph not built")
-        rec = self.clusters[cid]
-        new_rec = self.clusters[new_cid]
-        zset = new_rec.members
-        new_sup = dag.n
-        new_rec.sup = new_sup
-        g = self.graph.g
-        specs: list[tuple[int, int, int, int]] = []
-        meta: list[tuple[int, int]] = []
-        replaced: dict[int, dict[int, int]] = {}
-        touched = sorted(self._edges_touching(zset | rec.members))
-        for eid in touched:
-            u, v = g.tail[eid], g.head[eid]
-            zu, zv = u in zset, v in zset
-            if zu == zv:
-                continue  # intra-Z pairs carry no copies; both-outside pruned below
-            cu, cv = self.cluster_of[u], self.cluster_of[v]
-            lo = _min_exp(self._skip(u, v))
-            tail_sup = new_sup if zu else self.clusters[cu].sup
-            head_sup = new_sup if zv else self.clusters[cv].sup
-            replaced[eid] = {}
-            for i in range(lo, self.max_exp + 1):
-                specs.append((tail_sup, head_sup, g.length[eid], 1 << i))
-                meta.append((eid, i))
-        created = dag.split_vertex(rec.sup, [new_sup], specs)
-        for (eid, i), deid in zip(meta, created):
-            replaced[eid][i] = deid
-            self.dag_payload[deid] = (eid, i)
-        # drop the old copies of every edge with an endpoint in the new cluster
-        for eid, per in replaced.items():
-            for old_eid in self.copies.get(eid, {}).values():
-                if dag.alive[old_eid]:
-                    dag.delete_edge(old_eid)
-            self.copies[eid] = per
-        # skips may have grown for every edge touching the old cluster
-        for eid in touched:
-            if eid not in replaced:
-                self._prune_edge(eid)
-
     def _prune_edge(self, eid: int) -> None:
         dag = self.dag
         if dag is None:
@@ -357,55 +293,61 @@ class RestrictedSssp:
                 if dag.alive[deid]:
                     dag.delete_edge(deid)
 
-    def _shatter_supernode(self, cid: int, new_cids: list[int],
-                           old_members: set[int], keep: int) -> None:
+    def _place_copies(self, eids: list[int], create) -> dict[int, dict[int, int]]:
+        """Copies 2^i, i >= _min_exp(skip), of each edge between its endpoints'
+        current supernodes: create(specs) makes the DAG edges from their
+        (tail, head, length, weight) specs and returns their ids in order.
+        Returns each edge's {i: DAG edge id}."""
+        g = self.graph.g
+        specs: list[tuple[int, int, int, int]] = []
+        meta: list[tuple[int, int]] = []
+        for eid in eids:
+            u, v = g.tail[eid], g.head[eid]
+            tail_sup = self.clusters[self.cluster_of[u]].sup
+            head_sup = self.clusters[self.cluster_of[v]].sup
+            for i in range(_min_exp(self._skip(u, v)), self.max_exp + 1):
+                specs.append((tail_sup, head_sup, g.length[eid], 1 << i))
+                meta.append((eid, i))
+        per: dict[int, dict[int, int]] = {eid: {} for eid in eids}
+        for (eid, i), deid in zip(meta, create(specs)):
+            per[eid][i] = deid
+            self.dag_payload[deid] = (eid, i)
+        return per
+
+    def _rehome(self, cid: int, new_cids: list[int]) -> None:
+        """Split the supernodes of new_cids (ids dag.n, dag.n+1, ... in order)
+        off cid's and give every edge that now crosses into or out of a new
+        cluster fresh copies in place of its old ones."""
         dag = self.dag
         if dag is None:
             raise AssertionError("contracted graph not built")
         g = self.graph.g
-        rec = self.clusters[cid]
-        for offset, nc in enumerate(new_cids):
-            self.clusters[nc].sup = dag.n + offset
-        new_ids = [self.clusters[nc].sup for nc in new_cids]
-        sup_of_vertex = {keep: rec.sup}
-        for nc in new_cids:
-            (v,) = self.clusters[nc].members
-            sup_of_vertex[v] = self.clusters[nc].sup
-        specs: list[tuple[int, int, int, int]] = []
-        meta: list[tuple[int, int]] = []
-        moved: dict[int, dict[int, int]] = {}
-        for eid in sorted(self._edges_touching(old_members)):
-            u, v = g.tail[eid], g.head[eid]
-            in_u, in_v = u in old_members, v in old_members
-            skip = self._skip(u, v)
-            lo = _min_exp(skip)
-            if in_u and in_v:
-                tail_sup, head_sup = sup_of_vertex[u], sup_of_vertex[v]
-            elif in_u:
-                if u == keep:
-                    continue  # keeps its old copies; pruned after
-                tail_sup = sup_of_vertex[u]
-                head_sup = self.clusters[self.cluster_of[v]].sup
-            else:
-                if v == keep:
-                    continue
-                tail_sup = self.clusters[self.cluster_of[u]].sup
-                head_sup = sup_of_vertex[v]
-            moved[eid] = {}
-            for i in range(lo, self.max_exp + 1):
-                specs.append((tail_sup, head_sup, g.length[eid], 1 << i))
-                meta.append((eid, i))
-        created = dag.split_vertex(rec.sup, new_ids, specs)
-        for (eid, i), deid in zip(meta, created):
-            moved[eid][i] = deid
-            self.dag_payload[deid] = (eid, i)
-        for eid, per in moved.items():
+        new_sups = list(range(dag.n, dag.n + len(new_cids)))
+        verts = set(self.clusters[cid].members)
+        for nc, sup in zip(new_cids, new_sups):
+            self.clusters[nc].sup = sup
+            verts |= self.clusters[nc].members
+        new_set = set(new_cids)
+        touched = sorted({eid for v in verts for adj in (g.out_adj[v], g.in_adj[v])
+                          for eid in adj if g.alive[eid]})
+        moved = []
+        for eid in touched:
+            cu, cv = self.cluster_of[g.tail[eid]], self.cluster_of[g.head[eid]]
+            if cu != cv and (cu in new_set or cv in new_set):
+                moved.append(eid)
+        old_sup = self.clusters[cid].sup
+        fresh = self._place_copies(
+            moved, lambda specs: dag.split_vertex(old_sup, new_sups, specs))
+        for eid, per in fresh.items():
             for old_eid in self.copies.get(eid, {}).values():
                 if dag.alive[old_eid]:
                     dag.delete_edge(old_eid)
             self.copies[eid] = per
-        for eid in sorted(self._edges_touching(old_members)):
+        # skips may have grown for every edge touching the old cluster
+        for eid in touched:
             self._prune_edge(eid)
+        if self.checked:
+            dag.check_p1()
 
     # ---------------------------------------------------------------- queries
 
@@ -421,15 +363,12 @@ class RestrictedSssp:
         self._resolve_pending()
 
     def _cheapest_copy(self, u: int, v: int) -> int:
-        best = None
-        for eid in self.pair_geids.get((u, v), ()):
-            if self.graph.g.alive[eid]:
-                key = (self.graph.g.length[eid], eid)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        bundle = self.pair_geids.get((u, v), [])
+        while bundle and not self.graph.g.alive[bundle[-1]]:
+            bundle.pop()
+        if not bundle:
             raise AssertionError(f"no alive copy for pair ({u},{v})")
-        return best[1]
+        return bundle[-1]
 
     def query(self):
         """Simple s-t path as (vertices, edge ids) with total length <= 8*lam,
@@ -635,15 +574,7 @@ class ReferenceSssp:
         self.stats = {"queries": 0, "fails": 0}
         g = graph.g
         self._edges_built = len(g.tail)
-        self._bundles: list[list[list[int]]] = []
-        for u in range(g.n):
-            by_head: dict[int, list[int]] = {}
-            for eid in g.out_live(u):
-                by_head.setdefault(g.head[eid], []).append(eid)
-            self._bundles.append([
-                sorted(b, key=lambda e: (g.length[e], e), reverse=True)
-                for b in by_head.values()
-            ])
+        self._bundles = [_out_bundles(g, u) for u in range(g.n)]
 
     def query(self):
         if self.failed:
@@ -690,16 +621,8 @@ class ReferenceSssp:
             self.failed = True
             self.stats["fails"] += 1
             return None
-        verts = [T_ID]
-        eids: list[int] = []
-        while verts[-1] != S_ID:
-            eid = best_edge[verts[-1]]
-            if eid is None:
-                raise AssertionError(f"reached vertex {verts[-1]} has no parent edge")
-            eids.append(eid)
-            verts.append(g.tail[eid])
-        verts.reverse()
-        eids.reverse()
+        eids = edge_chain(best_edge, g.tail, S_ID, T_ID)
+        verts = [S_ID] + [head[e] for e in eids]
         self.queries_done += 1
         self.stats["queries"] += 1
         self.last_path = set(eids)

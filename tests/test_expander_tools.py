@@ -352,7 +352,7 @@ def test_embed_or_cut_edgeless(cnst):
     kind, payload = embed_or_cut(core, 4, cnst)
     assert kind == "cut"
     assert payload.crossing == 0
-    assert payload.min_side() >= cnst.embed_min_side(20)
+    assert payload.min_side() >= cnst.matching_z(20)
 
 
 def test_embed_or_cut_dense_embeds(cnst):

@@ -323,3 +323,26 @@ def test_graph_text_comments_and_errors():
                 "q zz\n"):
         with pytest.raises(ValueError):
             parse_graph_text(bad)
+    for bad, where in (("p bm -3 2 0\n", "line 1:"),            # negative side size
+                       ("c x\np bm 2 -1 0\n", "line 2:"),
+                       ("p bm 2 2 1\ne 1 1\np bm 3 3 1\n", "line 3:")):  # second p line
+        with pytest.raises(ValueError, match=where):
+            parse_graph_text(bad)
+    with pytest.raises(ValueError):
+        BipartiteGraph(-1, 2, ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_graph_text_round_trip_property(data):
+    # empty sides and isolated vertices survive parse -> write -> parse
+    n_left = data.draw(st.integers(0, 6))
+    n_right = data.draw(st.integers(0, 6))
+    cells = [(u, v) for u in range(n_left) for v in range(n_right)]
+    edges = tuple(data.draw(st.permutations(cells))[:data.draw(st.integers(0, len(cells)))])
+    lines = write_graph_text(BipartiteGraph(n_left, n_right, edges)).splitlines()
+    at = data.draw(st.integers(0, len(lines)))
+    text = "\n".join(lines[:at] + ["c comment", ""] + lines[at:]) + "\n"
+    g = parse_graph_text(text)
+    assert (g.n_left, g.n_right, g.edges) == (n_left, n_right, edges)
+    assert parse_graph_text(write_graph_text(g)) == g

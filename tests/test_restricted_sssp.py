@@ -135,6 +135,17 @@ def test_cluster_cut_translates_to_split():
     rs.check_invariants()
 
 
+def test_cluster_trees_count_es_scans():
+    # unlike driver runs, whose spawned cores have no edges, this cluster's
+    # core has short edges, so its ES trees scan and the scans are counted
+    rng = random.Random(6)
+    g, h = near_complete_residual(rng, 66, 66, 0.12, leave=2)
+    rs = RestrictedSssp(h, delta=2, m_param=h.g.live_m, checked=True)
+    drain(rs, h)
+    assert rs.stats["clusters_spawned"] >= 1
+    assert rs.work_counters()["es_scans"] > 0
+
+
 def test_full_backend_does_not_fail_while_short_supply_lasts():
     # plentiful short disjoint paths: the full backend must answer, and its
     # answers stay within 8*lambda while the oracle distance is within lambda
