@@ -237,3 +237,12 @@ def mwu_lambda(m: int, delta: int) -> int:
     copies.  Capped at m/32 so every edge gets at most ceil(log2 m) parallel
     copies and per-edge usage stays within ceil(log2 m)."""
     return min(raw_lambda(m, delta), max(1, m // 32))
+
+
+def doubling_levels(lam: int) -> int:
+    """Parallel copies per residual edge in an MWU phase of scale lam.
+
+    Copy j has length 2^j, for j up to the smallest power of two N' above
+    8*lam, so a scaled length of 8*lam is MWU length 1 and the top copy
+    never fits a path.  Copy j of residual edge eid has id eid*levels + j."""
+    return next_pow2(8 * lam + 1).bit_length()

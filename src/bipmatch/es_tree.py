@@ -1,15 +1,17 @@
 """Decremental single-source shortest-path tree for weighted directed graphs.
 
 Maintains exact distances from a root up to a depth bound d under edge
-deletions; levels are monotone non-decreasing.  Repair uses the classic
-per-vertex scan pointer: an orphaned vertex resumes scanning its in-edges
-for a parent realizing its current level, and only when the pointer wraps
-does it recompute its level from scratch and cascade to its tree children.
-Each vertex therefore pays at most two passes over its in-edges per level
-value, keeping total scan work within a small multiple of m*d.
+deletions and edge length increases; levels are monotone non-decreasing.
+Repair uses the classic per-vertex scan pointer: an orphaned vertex resumes
+scanning its in-edges for a parent realizing its current level, and only
+when the pointer wraps does it recompute its level from scratch and cascade
+to its tree children.  Each vertex therefore pays at most two passes over
+its in-edges per level value, keeping total scan work within a small
+multiple of m*d.
 
-Ties among equal-level parents are broken by smallest edge id so runs are
-bit-reproducible.
+Every parent is the smallest-id in-edge realizing its head's level, so runs
+are bit-reproducible: an edge the pointer passed cannot become tight again
+at the same level, since tail levels and lengths only grow.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class EsTree(DirectedGraph):
     """Shortest-path tree over its own edge set, which is fixed at construction.
 
     Deleting an edge through the tree tombstones it in the graph and repairs
-    the levels.
+    the levels; lengthening an edge repairs them the same way.
     """
 
     def __init__(self, n: int, edges: list[tuple[int, int, int]], root: int, depth: int):
@@ -91,22 +93,42 @@ class EsTree(DirectedGraph):
             return None
         return edge_chain(self.parent_edge, self.tail, self.root, v)
 
-    # --------------------------------------------------------------- deletion
+    # ----------------------------------------------- deletion and lengthening
 
     def delete_edge(self, eid: int) -> None:
         self.delete_edges([eid])
 
     def delete_edges(self, eids: list[int]) -> None:
-        orphans = []
+        orphans: list[int] = []
         for eid in eids:
             super().delete_edge(eid)
-            v = self.head[eid]
-            if self.parent_edge[v] == eid:
-                self.parent_edge[v] = None
-                self.children[self.tail[eid]].discard(v)
-                orphans.append(v)
+            self._orphan_head(eid, orphans)
         if orphans:
             self._repair(orphans)
+
+    def increase_lengths(self, updates: list[tuple[int, int]]) -> None:
+        """Set each live edge eid of the (eid, length) pairs to a longer length.
+
+        Like a deletion this can only raise levels, and only through the heads
+        of tree edges, so it orphans those heads and runs the same repair."""
+        orphans: list[int] = []
+        for eid, ln in updates:
+            if not self.alive[eid]:
+                raise ValueError(f"edge {eid} is deleted")
+            if ln <= self.length[eid] or ln != int(ln):
+                raise ValueError(f"edge {eid} length {self.length[eid]} -> {ln} is not "
+                                 "an integer increase")
+            self.length[eid] = ln
+            self._orphan_head(eid, orphans)
+        if orphans:
+            self._repair(orphans)
+
+    def _orphan_head(self, eid: int, orphans: list[int]) -> None:
+        v = self.head[eid]
+        if self.parent_edge[v] == eid:
+            self.parent_edge[v] = None
+            self.children[self.tail[eid]].discard(v)
+            orphans.append(v)
 
     def _repair(self, seeds: list[int]) -> None:
         heap: list[tuple[float, int]] = []

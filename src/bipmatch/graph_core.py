@@ -497,6 +497,7 @@ def parse_graph_text(text: str) -> BipartiteGraph:
     """Parse the benchmark text format: `p bm <nL> <nR> <m>` then `e u v` lines."""
     n_left = n_right = m_declared = None
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
@@ -506,7 +507,10 @@ def parse_graph_text(text: str) -> BipartiteGraph:
                 raise ValueError(f"line {lineno}: bad problem line {raw!r}")
             if n_left is not None:
                 raise ValueError(f"line {lineno}: second problem line")
-            n_left, n_right, m_declared = (int(t) for t in tokens[2:])
+            try:
+                n_left, n_right, m_declared = (int(t) for t in tokens[2:])
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
             if n_left < 0 or n_right < 0:
                 raise ValueError(f"line {lineno}: negative side size in {raw!r}")
         elif tokens[0] == "e":
@@ -514,10 +518,17 @@ def parse_graph_text(text: str) -> BipartiteGraph:
                 raise ValueError(f"line {lineno}: edge before problem line")
             if len(tokens) != 3:
                 raise ValueError(f"line {lineno}: bad edge line {raw!r}")
-            u, v = int(tokens[1]), int(tokens[2])
+            try:
+                u, v = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
             if not (1 <= u <= n_left and 1 <= v <= n_right):
                 raise ValueError(f"line {lineno}: edge ({u},{v}) out of range")
-            edges.append((u - 1, v - 1))
+            e = (u - 1, v - 1)
+            if e in seen:
+                raise ValueError(f"line {lineno}: duplicate edge ({u},{v})")
+            seen.add(e)
+            edges.append(e)
         else:
             raise ValueError(f"line {lineno}: unknown record {tokens[0]!r}")
     if n_left is None:

@@ -1,19 +1,22 @@
 """Multiplicative-weights path collection on a residual graph.
 
-Each residual edge is expanded into parallel copies of lengths 1, 2, 4, ...
-(the length-doubling dual exposed as deletions: using an edge deletes its
-cheapest surviving copy).  A restricted-SSSP backend supplies s-t paths of
-scaled length at most 8*lambda until it legally fails, at which point the
-collected paths are returned.  With a contract-conforming backend the
-collection has size at least Delta/(128*log2 m) and no edge appears on more
-than ceil(log2 m) paths.
+Each residual edge stands for parallel copies of lengths 1, 2, 4, ... (the
+length-doubling dual exposed as deletions: using an edge deletes its
+cheapest surviving copy, so its length doubles).  Copy j of edge eid has id
+eid*levels + j in both backends.  The reference backend keeps the copies
+implicit; only the full backend runs over a materialised doubling graph.
+A restricted-SSSP backend supplies s-t paths of scaled length at most
+8*lambda until it legally fails, at which point the collected paths are
+returned.  With a contract-conforming backend the collection has size at
+least Delta/(128*log2 m) and no edge appears on more than ceil(log2 m)
+paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .constants import Constants, log2c, mwu_lambda, next_pow2
+from .constants import Constants, doubling_levels, log2c, mwu_lambda
 from .graph_core import WellStructuredGraph
 from .restricted_sssp import ReferenceSssp, RestrictedSssp
 
@@ -32,24 +35,17 @@ class MwuResult:
         return max(self.usage.values(), default=0)
 
 
-def build_doubling_graph(h: WellStructuredGraph, lam: int):
-    """Expand every live edge into parallel power-of-two length copies.
-
-    Returns (hat_graph, parent) where parent maps each copy to its residual
-    edge id.  Copy lengths run 1, 2, ..., N' with N' the smallest power of
-    two exceeding 8*lam, so a scaled length of 8*lam corresponds to original
-    MWU length 1.
-    """
-    n_big = next_pow2(8 * lam + 1)
-    levels = n_big.bit_length()  # copies at 2^0 .. 2^(levels-1) = n_big
+def build_doubling_graph(h: WellStructuredGraph, lam: int) -> WellStructuredGraph:
+    """Expand every edge of h, which has no deleted edges, into parallel
+    power-of-two length copies: doubling_levels(lam) of them, copy j of
+    edge eid with length 2^j and id eid*levels + j."""
+    levels = doubling_levels(lam)
     hat = WellStructuredGraph(h.n_left, h.n_right, size_m=max(2, h.g.live_m))
-    parent: list[int] = []
     for eid in h.g.live_edges():
         u, v = h.g.tail[eid], h.g.head[eid]
         for j in range(levels):
             hat.add_edge(u, v, length=1 << j, special=h.special[eid])
-            parent.append(eid)
-    return hat, parent
+    return hat
 
 
 def mwu_run(h: WellStructuredGraph, delta: int, backend: str = "reference",
@@ -57,6 +53,8 @@ def mwu_run(h: WellStructuredGraph, delta: int, backend: str = "reference",
     """Collect s-t paths of MWU length at most 1 until the backend legally fails."""
     cnst = cnst or Constants.desk()
     m = h.g.live_m
+    if m != len(h.g.tail):
+        raise ValueError("the residual graph has deleted edges; copy ids need a fresh one")
     if m < 2:
         return MwuResult([], [], {}, lam=1, m=max(2, m), warned_no_path=True)
     gate = cnst.mwu_gate(m)
@@ -65,12 +63,13 @@ def mwu_run(h: WellStructuredGraph, delta: int, backend: str = "reference",
             f"Delta={delta} below the configured MWU gate {gate}; use the exact fallback"
         )
     lam = mwu_lambda(m, delta)
-    hat, parent = build_doubling_graph(h, lam)
-    delta_eff = min(delta, hat.n)
+    levels = doubling_levels(lam)
+    delta_eff = min(delta, h.n)
     if backend == "reference":
-        sssp = ReferenceSssp(hat, delta_eff, m, lam=lam)
+        sssp = ReferenceSssp(h, delta_eff, m, lam=lam)
     elif backend == "full":
-        sssp = RestrictedSssp(hat, delta_eff, m, cnst=cnst, lam=lam, checked=checked)
+        sssp = RestrictedSssp(build_doubling_graph(h, lam), delta_eff, m, cnst=cnst,
+                              lam=lam, checked=checked)
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -84,10 +83,14 @@ def mwu_run(h: WellStructuredGraph, delta: int, backend: str = "reference",
         if res is None:
             break
         verts, copy_ids = res
-        total = sum(hat.g.length[c] for c in copy_ids)
+        res_edges = []
+        total = 0
+        for c in copy_ids:
+            eid, j = divmod(c, levels)
+            res_edges.append(eid)
+            total += 1 << j
         if total > budget:
             raise AssertionError(f"backend returned a path of length {total} > 8*lambda")
-        res_edges = [parent[c] for c in copy_ids]
         for eid in res_edges:
             usage[eid] = usage.get(eid, 0) + 1
             if usage[eid] > usage_cap:
@@ -97,9 +100,6 @@ def mwu_run(h: WellStructuredGraph, delta: int, backend: str = "reference",
         paths.append(res_edges)
         vertex_paths.append(verts)
         sssp.delete_path_edges(copy_ids)
-    backend_stats = dict(getattr(sssp, "stats", {}))
-    if hasattr(sssp, "work_counters"):
-        backend_stats.update(sssp.work_counters())
     return MwuResult(
         paths=paths,
         vertex_paths=vertex_paths,
@@ -107,7 +107,7 @@ def mwu_run(h: WellStructuredGraph, delta: int, backend: str = "reference",
         lam=lam,
         m=m,
         warned_no_path=not paths,
-        backend_stats=backend_stats,
+        backend_stats={**sssp.stats, **sssp.work_counters()},
     )
 
 

@@ -13,24 +13,24 @@ deleted.  Two implementations share the interface:
   graph, whose parallel copies carry power-of-two weights bounding the
   position gap their edge skips.
 
-- ReferenceSssp: plain decremental shortest path, one Dijkstra per query
-  over the cheapest live copy of each residual edge, failing exactly when
-  dist(s,t) > 8*lambda.  It satisfies the same contract and anchors
-  differential tests.
+- ReferenceSssp: plain decremental shortest path, failing exactly when
+  dist(s,t) > 8*lambda.  It keeps one Even-Shiloach tree over the residual
+  edges and leaves the doubling graph implicit: using an edge doubles its
+  length, and copy ids are computed, not stored.  It satisfies the same
+  contract and anchors differential tests.  Only RestrictedSssp runs over a
+  materialised doubling graph.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
-from .constants import Constants, log2c, raw_lambda
+from .constants import Constants, doubling_levels, log2c, raw_lambda
 from .dag_sssp import DagSssp
-from .graph_core import CoreGraph, DirectedGraph, WellStructuredGraph, S_ID, T_ID, edge_chain
+from .es_tree import EsTree
+from .graph_core import CoreGraph, DirectedGraph, WellStructuredGraph, S_ID, T_ID
 from .maintain_cluster import ClusterContractError, ClusterState
-
-INF = math.inf
 
 
 def _min_exp(skip: int) -> int:
@@ -90,8 +90,9 @@ class RestrictedSssp:
         self.stats = {
             "queries": 0, "fails": 0, "cuts": 0, "splits": 0, "shatters": 0,
             "emergency_shatters": 0, "over_2lam": 0,
-            "cluster_queries": 0, "es_scans": 0, "dag_work": 0, "clusters_spawned": 0,
+            "cluster_queries": 0, "clusters_spawned": 0,
         }
+        self._banked_es_scans = 0  # scans of cluster trees already torn down
 
         # simple short-edge graph bookkeeping
         self.short_mult: dict[tuple[int, int], int] = {}
@@ -151,7 +152,7 @@ class RestrictedSssp:
 
     def _bank_cluster(self, rec: ClusterRecord) -> None:
         if rec.state is not None:
-            self.stats["es_scans"] += rec.state.total_es_scans()
+            self._banked_es_scans += rec.state.total_es_scans()
 
     def _resolve_pending(self) -> None:
         while self._pending:
@@ -496,13 +497,11 @@ class RestrictedSssp:
                 rec.state = None
                 self._pending.append(cid)
         self._resolve_pending()
-        if self.dag is not None:
-            self.stats["dag_work"] = self.dag.work
         if self.checked:
             self.check_invariants()
 
     def work_counters(self) -> dict:
-        es = self.stats["es_scans"]
+        es = self._banked_es_scans
         for rec in self.clusters.values():
             if rec.state is not None:
                 es += rec.state.total_es_scans()
@@ -550,16 +549,22 @@ class RestrictedSssp:
 
 
 class ReferenceSssp:
-    """Plain decremental shortest path: Dijkstra per query, FAIL iff
-    dist(s,t) > 8*lambda.  Meets the restricted-SSSP contract exactly.
+    """Plain decremental shortest path over the implicit doubling graph of a
+    residual graph, failing exactly when dist(s,t) > 8*lambda.  Meets the
+    restricted-SSSP contract exactly.
 
-    Edges may be deleted, never added: __init__ groups each vertex's live
-    out-edges by head into bundles sorted by (length, id) with the cheapest
-    copy last, and a query raises ValueError if the graph has gained edges
-    since.  A query relaxes only the cheapest live copy of each bundle, which
-    leaves every (dist, parent edge) at the same lexicographic minimum as
-    relaxing every copy, and stops once t is settled or the settled distance
-    passes 8*lambda.
+    Residual edge eid stands for copies of length 2^j, j < levels, with ids
+    eid*levels + j, the numbering build_doubling_graph gives; only the
+    cheapest live copy can lie on a shortest path, so the backend keeps one
+    Even-Shiloach tree rooted at s, depth bound 8*lambda, over the residual
+    edges, each at its cheapest copy's length.  Deleting that copy doubles
+    the edge's length in the tree.  Equal-length copies compare as their
+    edges do, so the tree's smallest-id parents give the same (verts, copy
+    ids) as a Dijkstra over every copy that keeps the least (dist, copy id).
+
+    The backend reads the graph once, so it must have no deleted edges then
+    and stay as it is: a query raises ValueError if edges were added or
+    deleted since.
     """
 
     def __init__(self, graph: WellStructuredGraph, delta: int, m_param: int,
@@ -568,13 +573,17 @@ class ReferenceSssp:
         self.graph = graph
         self.delta = delta
         self.lam = lam if lam is not None else raw_lambda(max(2, m_param), delta)
+        self.levels = doubling_levels(self.lam)
         self.queries_done = 0
         self.failed = False
         self.last_path: set[int] = set()
         self.stats = {"queries": 0, "fails": 0}
         g = graph.g
+        if g.live_m != len(g.tail):
+            raise ValueError("ReferenceSssp needs a graph without deleted edges")
         self._edges_built = len(g.tail)
-        self._bundles = [_out_bundles(g, u) for u in range(g.n)]
+        self.tree = EsTree(g.n, [(g.tail[e], g.head[e], 1) for e in range(len(g.tail))],
+                           S_ID, 8 * self.lam)
 
     def query(self):
         if self.failed:
@@ -582,56 +591,30 @@ class ReferenceSssp:
         if self.queries_done >= self.delta:
             raise ValueError("query budget exhausted")
         g = self.graph.g
-        if len(g.tail) != self._edges_built:
-            raise ValueError("edges were added after construction; "
-                             "ReferenceSssp only supports deletions")
-        alive, head, length = g.alive, g.head, g.length
-        heappop, heappush = heapq.heappop, heapq.heappush
-        cap = 8 * self.lam
-        dist: list[float] = [INF] * g.n
-        best_edge: list[int | None] = [None] * g.n
-        dist[S_ID] = 0
-        heap = [(0, S_ID)]
-        while heap:
-            d, u = heappop(heap)
-            if d > dist[u]:
-                continue
-            if u == T_ID or d > cap:
-                break
-            for bundle in self._bundles[u]:
-                eid = bundle[-1]
-                if not alive[eid]:
-                    # pop dead copies but keep the bottom one, dead or
-                    # alive, so bundle[-1] always exists
-                    while len(bundle) > 1 and not alive[bundle[-1]]:
-                        bundle.pop()
-                    eid = bundle[-1]
-                    if not alive[eid]:
-                        continue
-                v = head[eid]
-                nd = d + length[eid]
-                dv = dist[v]
-                if nd < dv:
-                    dist[v] = nd
-                    best_edge[v] = eid
-                    heappush(heap, (nd, v))
-                elif nd == dv and eid < best_edge[v]:
-                    best_edge[v] = eid
-        if dist[T_ID] > cap:
+        if len(g.tail) != self._edges_built or g.live_m != self._edges_built:
+            raise ValueError("edges were added or deleted after construction; "
+                             "ReferenceSssp reads the graph once")
+        tree = self.tree
+        eids = tree.path_edges_to(T_ID)
+        if eids is None:  # level(t) > 8*lambda
             self.failed = True
             self.stats["fails"] += 1
             return None
-        eids = edge_chain(best_edge, g.tail, S_ID, T_ID)
-        verts = [S_ID] + [head[e] for e in eids]
+        verts = [S_ID] + [tree.head[e] for e in eids]
+        copies = [e * self.levels + tree.length[e].bit_length() - 1 for e in eids]
         self.queries_done += 1
         self.stats["queries"] += 1
-        self.last_path = set(eids)
-        return verts, eids
+        self.last_path = set(copies)
+        return verts, copies
 
-    def delete_path_edges(self, eids: list[int]) -> None:
-        bad = [e for e in eids if e not in self.last_path]
+    def delete_path_edges(self, copy_ids: list[int]) -> None:
+        bad = [c for c in copy_ids if c not in self.last_path]
         if bad:
             raise ValueError(f"edges {bad} were not on the last returned path")
-        for eid in eids:
-            self.graph.g.delete_edge(eid)
-        self.last_path -= set(eids)
+        length = self.tree.length
+        self.tree.increase_lengths([(c // self.levels, 2 * length[c // self.levels])
+                                    for c in copy_ids])
+        self.last_path -= set(copy_ids)
+
+    def work_counters(self) -> dict:
+        return {"es_scans": self.tree.scan_steps}

@@ -62,6 +62,16 @@ def test_cli_csv_schema(capsys):
         assert fields[18:] == ["0", "0", "0"]
 
 
+def test_cli_reference_backend_reports_es_scans(capsys):
+    rc = main(["--algo", "paper", "--backend", "reference", "--gen", "random-gnp",
+               "--n", "64", "--p", "0.1", "--seed", "5", "--verify", "--csv", "-"])
+    assert rc == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert int(fields["phases"]) >= 1  # at least one MWU phase ran
+    assert int(fields["es_scans"]) > 0  # the reference backend's tree did the work
+
+
 def test_cli_reports_full_backend_cluster_counters(capsys):
     rc = main(["--algo", "paper", "--backend", "full", "--gen", "two-blocks",
                "--n", "24", "--p", "0.4", "--seed", "3", "--verify", "--csv", "-"])

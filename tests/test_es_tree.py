@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipmatch.es_tree import EsTree, INF
 from bipmatch.graph_core import DirectedGraph
@@ -124,3 +126,81 @@ def test_scan_budget_respected_under_full_teardown():
     t.delete_edges(order)
     assert all(lv == (0 if v == 0 else INF) for v, lv in enumerate(t.level))
     assert t.scan_steps <= 16 * len(edges) * (d + 1) + 64
+
+
+def test_lengthen_non_tree_edge_changes_nothing():
+    edges = [(0, 1, 1), (0, 2, 1), (1, 2, 1)]  # (1,2) is not a tree edge
+    t = EsTree(3, edges, root=0, depth=5)
+    before = list(t.level)
+    t.increase_lengths([(2, 4)])
+    assert t.level == before and t.length[2] == 4
+
+
+def test_lengthen_rejects_shrinking_and_dead_edges():
+    t = EsTree(2, [(0, 1, 2), (0, 1, 1)], root=0, depth=3)
+    for bad in ((0, 2), (0, 1), (0, 2.5)):
+        with pytest.raises(ValueError):
+            t.increase_lengths([bad])
+    t.delete_edge(1)
+    with pytest.raises(ValueError):
+        t.increase_lengths([(1, 4)])
+
+
+def check_tree(t, g):
+    """Levels equal the depth-bounded oracle and every parent is the
+    smallest-id live in-edge realizing its head's level."""
+    assert t.level == capped(dijkstra(g, t.root), t.depth)
+    for v in range(t.n):
+        if v == t.root or t.level[v] == INF:
+            assert t.parent_edge[v] is None
+            continue
+        tight = [e for e in g.in_adj[v]
+                 if g.alive[e] and t.level[g.tail[e]] + g.length[e] == t.level[v]]
+        assert t.parent_edge[v] == min(tight)
+        assert v in t.children[t.tail[t.parent_edge[v]]]
+
+
+def test_lengthening_cycle_entry_drops_cycle_past_depth():
+    # 0 -> 1 is the only cheap way into the cycle 1 -> 2 -> 3 -> 1; the
+    # other entry 0 -> 3 sits at the depth bound, so the cycle cannot hold
+    # 1 and 2 within it once 0 -> 1 is long
+    edges = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1), (0, 3, 6)]
+    t = EsTree(4, edges, root=0, depth=6)
+    g = make_graph(4, edges)
+    assert t.level == [0, 1, 2, 3]
+    for ln in (2, 4, 8):
+        t.increase_lengths([(0, ln)])
+        g.length[0] = ln
+        check_tree(t, g)
+    assert t.level == [0, INF, INF, 6]
+    assert {1, 2} <= set(t.dropped)
+    assert t.scan_steps <= t.scan_budget()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_deletions_and_length_increases_track_oracle(data):
+    n = data.draw(st.integers(2, 9))
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    pairs = data.draw(st.lists(st.sampled_from(arcs), min_size=1, max_size=4 * n))
+    edges = [(u, v, data.draw(st.integers(1, 4))) for u, v in pairs]
+    depth = data.draw(st.integers(1, 12))
+    t = EsTree(n, edges, root=0, depth=depth)
+    g = make_graph(n, edges)
+    check_tree(t, g)
+    for _ in range(data.draw(st.integers(1, 2 * len(edges)))):
+        live = [e for e in range(len(edges)) if g.alive[e]]
+        if not live:
+            break
+        batch = data.draw(st.sets(st.sampled_from(live), min_size=1, max_size=3))
+        if data.draw(st.booleans()):
+            t.delete_edges(sorted(batch))
+            for e in batch:
+                g.delete_edge(e)
+        else:
+            ups = [(e, g.length[e] * data.draw(st.sampled_from([2, 3]))) for e in sorted(batch)]
+            t.increase_lengths(ups)
+            for e, ln in ups:
+                g.length[e] = ln
+        check_tree(t, g)
+    assert t.scan_steps <= t.scan_budget()

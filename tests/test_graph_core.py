@@ -325,7 +325,9 @@ def test_graph_text_comments_and_errors():
             parse_graph_text(bad)
     for bad, where in (("p bm -3 2 0\n", "line 1:"),            # negative side size
                        ("c x\np bm 2 -1 0\n", "line 2:"),
-                       ("p bm 2 2 1\ne 1 1\np bm 3 3 1\n", "line 3:")):  # second p line
+                       ("p bm 2 2 1\ne 1 1\np bm 3 3 1\n", "line 3:"),  # second p line
+                       ("c x\np bm 2 2 x\n", "line 2: non-integer"),
+                       ("p bm 2 2 2\ne 2 1\ne 2 1\n", r"line 3: duplicate edge \(2,1\)")):
         with pytest.raises(ValueError, match=where):
             parse_graph_text(bad)
     with pytest.raises(ValueError):

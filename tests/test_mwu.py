@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bipmatch.constants import log2c
+from bipmatch.constants import doubling_levels, log2c
 from bipmatch.graph_core import BipartiteGraph, Matching, residual_graph
 from bipmatch.mwu import build_doubling_graph, mwu_run, mwu_yield_floor
 from conftest import random_bipartite
@@ -16,19 +16,29 @@ def disjoint_paths_residual(k):
 def test_doubling_graph_shape():
     h = disjoint_paths_residual(4)
     lam = 4
-    hat, parent = build_doubling_graph(h, lam)
-    levels = {}
-    for eid in hat.g.live_edges():
-        levels.setdefault(parent[eid], []).append(hat.g.length[eid])
-    for lengths in levels.values():
-        assert sorted(lengths) == [1 << j for j in range(len(lengths))]
-        assert max(lengths) > 8 * lam  # a copy above the budget always survives
+    hat = build_doubling_graph(h, lam)
+    levels = doubling_levels(lam)
+    assert len(hat.g.tail) == levels * len(h.g.tail)
+    for c in hat.g.live_edges():
+        eid, j = divmod(c, levels)  # copy j of residual edge eid
+        assert (hat.g.tail[c], hat.g.head[c]) == (h.g.tail[eid], h.g.head[eid])
+        assert hat.g.length[c] == 1 << j
+        assert hat.special[c] == h.special[eid]
+    assert 1 << (levels - 1) > 8 * lam  # a copy above the budget always survives
 
 
 def test_gate_rejects_small_delta(cnst):
     h = disjoint_paths_residual(40)
     with pytest.raises(ValueError):
         mwu_run(h, delta=1, backend="reference", cnst=cnst)
+
+
+def test_rejects_residual_with_deleted_edges(cnst):
+    # copy ids are eid*levels + j, so edge ids must run without gaps
+    h = disjoint_paths_residual(40)
+    h.g.delete_edge(0)
+    with pytest.raises(ValueError, match="deleted edges"):
+        mwu_run(h, delta=40, backend="reference", cnst=cnst)
 
 
 def test_disjoint_paths_all_collected(cnst):

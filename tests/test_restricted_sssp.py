@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bipmatch.constants import Constants
 from bipmatch.graph_core import (BipartiteGraph, Matching, S_ID, T_ID,
                                  WellStructuredGraph, residual_graph)
+from bipmatch.mwu import build_doubling_graph
 from bipmatch.oracles import dijkstra
 from bipmatch.restricted_sssp import ReferenceSssp, RestrictedSssp
 from conftest import random_bipartite
@@ -34,6 +35,12 @@ def near_complete_residual(rng, nl, nr, p, leave=2):
 
 
 def drain(sssp, h):
+    """Query and delete until FAIL or the budget, checking each path in h.
+
+    The full backend runs on h itself, so its ids are h's edges.  The
+    reference backend's copy ids are eid*levels + j, the copy of h's edge
+    eid with length 2^j."""
+    levels = sssp.levels if isinstance(sssp, ReferenceSssp) else 1
     paths = []
     while sssp.queries_done < sssp.delta:
         res = sssp.query()
@@ -42,7 +49,12 @@ def drain(sssp, h):
         verts, eids = res
         assert verts[0] == S_ID and verts[-1] == T_ID
         assert len(set(verts)) == len(verts)
-        total = sum(h.g.length[e] for e in eids)
+        edges = [divmod(c, levels) for c in eids]
+        assert [(h.g.tail[e], h.g.head[e]) for e, _ in edges] == list(zip(verts, verts[1:]))
+        if levels == 1:
+            total = sum(h.g.length[e] for e in eids)
+        else:
+            total = sum(1 << j for _, j in edges)
         assert total <= 8 * sssp.lam
         paths.append((verts, eids))
         sssp.delete_path_edges(eids)
@@ -143,7 +155,10 @@ def test_cluster_trees_count_es_scans():
     rs = RestrictedSssp(h, delta=2, m_param=h.g.live_m, checked=True)
     drain(rs, h)
     assert rs.stats["clusters_spawned"] >= 1
-    assert rs.work_counters()["es_scans"] > 0
+    counters = rs.work_counters()
+    assert counters["es_scans"] > 0
+    # work counters have one source, so stats holds no copy that can go stale
+    assert not set(rs.stats) & set(counters)
 
 
 def test_full_backend_does_not_fail_while_short_supply_lasts():
@@ -165,12 +180,15 @@ def test_reference_fail_legality():
     rng = random.Random(8)
     g, h = near_complete_residual(rng, 12, 12, 0.4, leave=2)
     ref = ReferenceSssp(h, delta=4, m_param=h.g.live_m)
+    hat = build_doubling_graph(h, ref.lam)
     while ref.queries_done < ref.delta:
         res = ref.query()
         if res is None:
-            assert dijkstra(h.g, S_ID)[T_ID] > 8 * ref.lam
+            assert dijkstra(hat.g, S_ID)[T_ID] > 8 * ref.lam
             break
         ref.delete_path_edges(res[1])
+        for c in res[1]:
+            hat.g.delete_edge(c)
 
 
 def test_delete_requires_membership_in_last_path():
@@ -261,35 +279,40 @@ def test_reference_matches_every_copy_dijkstra(data):
     n = 2 + nl + nr
     arcs = [(u, v) for u in range(n) for v in range(n)
             if u != v and u != T_ID and v != S_ID]
-    pairs = data.draw(st.sets(st.sampled_from(arcs), min_size=n, max_size=3 * n))
-    # copies of one pair may share a length, and all copies go in shuffled
-    copies = [(u, v, ln) for u, v in sorted(pairs)
-              for ln in data.draw(st.lists(st.sampled_from([1, 2, 4, 8]),
-                                           min_size=1, max_size=4))]
-    copies = data.draw(st.permutations(copies))
-    h = WellStructuredGraph(nl, nr, size_m=len(copies))
-    for u, v, ln in copies:
-        h.add_edge(u, v, length=ln)
-    ref = ReferenceSssp(h, delta=40, m_param=h.g.live_m, lam=data.draw(st.integers(1, 3)))
+    # a pair may carry parallel edges, and all edges go in shuffled
+    pairs = data.draw(st.lists(st.sampled_from(arcs), min_size=n, max_size=3 * n))
+    h = WellStructuredGraph(nl, nr, size_m=len(pairs))
+    for u, v in pairs:
+        h.add_edge(u, v)
+    lam = data.draw(st.integers(1, 3))
+    ref = ReferenceSssp(h, delta=40, m_param=h.g.live_m, lam=lam)
+    # the oracle runs over the materialised copies, deleting each one returned
+    hat = build_doubling_graph(h, lam)
     while ref.queries_done < ref.delta:
-        want = every_copy_dijkstra(h.g, 8 * ref.lam)
+        want = every_copy_dijkstra(hat.g, 8 * lam)
         got = ref.query()
         assert got == want
         if got is None:
             break
         ref.delete_path_edges(got[1])
-        others = list(h.g.live_edges())
-        if others:
-            for eid in data.draw(st.sets(st.sampled_from(others), max_size=3)):
-                h.g.delete_edge(eid)
+        for c in got[1]:
+            hat.g.delete_edge(c)
 
 
 def test_reference_rejects_edges_added_after_construction():
-    h = disjoint_paths_residual(3)
-    ref = ReferenceSssp(h, delta=3, m_param=h.g.live_m)
-    res = ref.query()
-    assert res is not None
-    ref.delete_path_edges(res[1])
-    h.add_edge(S_ID, T_ID, length=1)
-    with pytest.raises(ValueError, match="added"):
-        ref.query()
+    # the backend owns every edge's length, so the graph must not change
+    # behind it, nor hold deleted edges when it is built
+    for change in ("add", "delete"):
+        h = disjoint_paths_residual(3)
+        ref = ReferenceSssp(h, delta=3, m_param=h.g.live_m)
+        res = ref.query()
+        assert res is not None
+        ref.delete_path_edges(res[1])
+        if change == "add":
+            h.add_edge(S_ID, T_ID, length=1)
+        else:
+            h.g.delete_edge(0)
+        with pytest.raises(ValueError, match="added or deleted"):
+            ref.query()
+    with pytest.raises(ValueError, match="deleted edges"):
+        ReferenceSssp(h, delta=3, m_param=h.g.live_m)
