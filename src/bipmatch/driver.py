@@ -18,7 +18,8 @@ from .constants import Constants
 from .graph_core import (BipartiteGraph, Matching, ResidualView, S_ID, T_ID,
                          WellStructuredGraph, augment, bfs_tree, residual_graph,
                          tree_path)
-from .mwu import mwu_run
+from .maintain_cluster import ClusterContractError
+from .mwu import MwuResult, mwu_run
 
 
 @dataclass
@@ -44,6 +45,7 @@ class RunReport:
     phases: list[PhaseRecord] = field(default_factory=list)
     exact_augmentations: int = 0
     fallback_phases: int = 0
+    backend_failures: int = 0
     matching_size: int = 0
     max_congestion: int = 0
     cuts_emitted: int = 0
@@ -175,8 +177,14 @@ def max_matching(g: BipartiteGraph, cfg: DriverConfig | None = None
         if h.g.live_m != m:
             raise AssertionError(f"residual graph has {h.g.live_m} edges, expected {m}")
         t0 = time.perf_counter()
-        result = mwu_run(h, delta_hat, backend=cfg.backend, cnst=cnst,
-                         checked=cfg.checked)
+        try:
+            result = mwu_run(h, delta_hat, backend=cfg.backend, cnst=cnst,
+                             checked=cfg.checked)
+        except ClusterContractError:
+            # the backend broke its contract; h is intact (the full backend
+            # runs on its own doubling graph), so the phase falls back
+            report.backend_failures += 1
+            result = MwuResult([], [], {}, lam=0, m=m)
         report.max_congestion = max(report.max_congestion, result.max_usage())
         report.cuts_emitted += result.backend_stats.get("cuts", 0)
         for key, val in result.backend_stats.items():

@@ -6,12 +6,14 @@ deleted.  Two implementations share the interface:
 
 - RestrictedSssp: the full structure.  Part 1 maintains an evolving vertex
   partition into clusters, each holding a contiguous interval of positions
-  (an approximate topological order); non-leaf clusters run the cluster
-  maintenance machinery over the unit-length simple short-edge graph, and
-  every emitted cut splits an interval with the sparse direction placed
-  right-to-left.  Part 2 runs the DAG-like SSSP structure on the contracted
-  graph, whose parallel copies carry power-of-two weights bounding the
-  position gap their edge skips.
+  (an approximate topological order); non-leaf clusters with at least one
+  short edge inside run the cluster maintenance machinery over the
+  unit-length simple short-edge graph, and every emitted cut splits an
+  interval with the sparse direction placed right-to-left.  Leaf clusters,
+  and clusters with no short edge inside, are shattered into singletons.
+  Part 2 runs the DAG-like SSSP structure on the contracted graph, whose
+  parallel copies carry power-of-two weights bounding the position gap
+  their edge skips.
 
 - ReferenceSssp: plain decremental shortest path, failing exactly when
   dist(s,t) > 8*lambda.  It keeps one Even-Shiloach tree over the residual
@@ -150,6 +152,10 @@ class RestrictedSssp:
     def _is_leaf(self, size: int) -> bool:
         return size < 2 or self._d_x(size) < self.cnst.leaf_threshold(size)
 
+    def _has_short_pair_inside(self, rec: ClusterRecord) -> bool:
+        members = rec.members
+        return any(h in members for u in members for h in self.out_pairs[u])
+
     def _bank_cluster(self, rec: ClusterRecord) -> None:
         if rec.state is not None:
             self._banked_es_scans += rec.state.total_es_scans()
@@ -160,7 +166,9 @@ class RestrictedSssp:
             rec = self.clusters[cid]
             if rec.size == 0:
                 continue
-            if self._is_leaf(rec.size):
+            # a core without edges can only be cut into pieces that cross
+            # nothing, so any order of its members is a valid one
+            if self._is_leaf(rec.size) or not self._has_short_pair_inside(rec):
                 self._shatter(cid)
                 continue
             self._spawn_state(cid)
@@ -213,7 +221,8 @@ class RestrictedSssp:
         self._pending.append(new_cid)
 
     def _shatter(self, cid: int) -> None:
-        """Replace a leaf cluster by singletons, left side first."""
+        """Replace a leaf cluster, or one with no short pair inside, by
+        singletons, left side first."""
         rec = self.clusters[cid]
         self.stats["shatters"] += 1
         if rec.size == 1:
@@ -401,7 +410,7 @@ class RestrictedSssp:
                 self.stats["over_2lam"] += 1
             self.last_path = set(eids)
             return result
-        raise AssertionError("query retries exhausted")
+        raise ClusterContractError("query retries exhausted")
 
     def _assemble(self, dag_path: list[int]):
         g = self.graph.g

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from bipmatch import driver
 from bipmatch.constants import Constants, log2c
+from bipmatch.cli import generate
 from bipmatch.driver import (DriverConfig, disjoint_paths, max_matching,
                              round_to_disjoint)
 from bipmatch.graph_core import (BipartiteGraph, Matching, S_ID, T_ID, augment,
                                  residual_graph)
+from bipmatch.maintain_cluster import ClusterContractError
 from bipmatch.mwu import mwu_run
 from bipmatch.oracles import hopcroft_karp
+from bipmatch.restricted_sssp import RestrictedSssp
 from conftest import random_bipartite
 
 
@@ -130,6 +133,20 @@ def test_exact_phase_builds_no_residual_graph(monkeypatch):
     matching.validate(g)
     assert rep.exact_augmentations == k and rep.phases == []
     assert builds == []
+
+
+def test_backend_contract_failure_falls_back(monkeypatch):
+    def broken(self):
+        raise ClusterContractError("query retries exhausted")
+
+    monkeypatch.setattr(RestrictedSssp, "query", broken)
+    g = generate("random-gnp", {"n": 40, "p": 0.15}, 1)
+    m, rep = max_matching(g, DriverConfig(backend="full"))
+    m.validate(g)
+    assert len(m) == len(hopcroft_karp(g)[0])
+    assert rep.backend_failures == 1
+    assert rep.fallback_phases == 1
+    assert rep.phases[0].fallback and rep.phases[0].collected == 0
 
 
 def test_phase_progress_with_reference_backend(cnst):

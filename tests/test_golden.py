@@ -163,18 +163,18 @@ EXPECTED = {'driver': {'gnp-40/reference': {'size': 40,
                                               'exact': 5,
                                               'fallbacks': 0,
                                               'cuts': 0}},
-            'warm_repair': {'paths': '1de76d4ca7098774',
+            'warm_repair': {'paths': 'e34a98b138233ece',
                             'n_paths': 4,
                             'stats': {'queries': 4,
                                       'fails': 0,
-                                      'cuts': 2,
-                                      'splits': 2,
-                                      'shatters': 3,
+                                      'cuts': 0,
+                                      'splits': 0,
+                                      'shatters': 1,
                                       'emergency_shatters': 0,
                                       'over_2lam': 0,
                                       'cluster_queries': 0,
                                       'es_scans': 0,
-                                      'dag_work': 580643}},
+                                      'dag_work': 379538}},
             'cluster': {'answers': 'c42f9e0d741b3a28',
                         'n_answers': 16,
                         'cuts': 'cde572319fc1be3e',

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipmatch.constants import Constants
+from bipmatch.constants import Constants, mwu_lambda
 from bipmatch.graph_core import (BipartiteGraph, Matching, S_ID, T_ID,
                                  WellStructuredGraph, residual_graph)
+from bipmatch.maintain_cluster import ClusterContractError
 from bipmatch.mwu import build_doubling_graph
-from bipmatch.oracles import dijkstra
+from bipmatch.oracles import dijkstra, hopcroft_karp
 from bipmatch.restricted_sssp import ReferenceSssp, RestrictedSssp
 from conftest import random_bipartite
 
@@ -148,8 +149,9 @@ def test_cluster_cut_translates_to_split():
 
 
 def test_cluster_trees_count_es_scans():
-    # unlike driver runs, whose spawned cores have no edges, this cluster's
-    # core has short edges, so its ES trees scan and the scans are counted
+    # unlike driver runs, whose clusters have no short edge inside and are
+    # shattered at once, this cluster's core has short edges, so its ES
+    # trees scan and the scans are counted
     rng = random.Random(6)
     g, h = near_complete_residual(rng, 66, 66, 0.12, leave=2)
     rs = RestrictedSssp(h, delta=2, m_param=h.g.live_m, checked=True)
@@ -159,6 +161,45 @@ def test_cluster_trees_count_es_scans():
     assert counters["es_scans"] > 0
     # work counters have one source, so stats holds no copy that can go stale
     assert not set(rs.stats) & set(counters)
+
+
+def test_cluster_without_short_pair_inside_is_shattered():
+    # at the lambda MWU uses every copy is long, so the non-leaf root cluster
+    # has an edgeless core: it is shattered at once instead of spawning
+    rng = random.Random(5)
+    g = random_bipartite(rng, 60, 60, 0.1)
+    ordered = sorted(hopcroft_karp(g)[0].pairs)
+    dropped = set(rng.sample(ordered, 2))
+    h = residual_graph(g, Matching([q for q in ordered if q not in dropped]))
+    m = h.g.live_m
+    lam = mwu_lambda(m, 2)
+    hat = build_doubling_graph(h, lam)
+    rs = RestrictedSssp(hat, delta=2, m_param=m, lam=lam, checked=True)
+    assert not rs._is_leaf(hat.n - 2)
+    assert not any(rs.out_pairs)
+    assert rs.stats["clusters_spawned"] == 0
+    assert rs.stats["cuts"] == 0
+    assert rs.stats["shatters"] == 1
+    assert all(rec.state is None for rec in rs.clusters.values())
+    assert len(drain(rs, hat)) == 2
+    rs.check_invariants()
+
+
+def test_cluster_with_one_short_pair_inside_spawns():
+    # every edge long but one between two members of the root cluster
+    k = 60
+    base = disjoint_paths_residual(k)
+    lam = 10_000
+    h = WellStructuredGraph(k, k, size_m=base.g.live_m)
+    for eid in base.g.live_edges():
+        u, v = base.g.tail[eid], base.g.head[eid]
+        short = (u, v) == (2, 2 + k)
+        h.add_edge(u, v, length=1 if short else 16, special=base.special[eid])
+    rs = RestrictedSssp(h, delta=2, m_param=h.g.live_m, lam=lam, checked=True)
+    assert not rs._is_leaf(h.n - 2)
+    assert 1 < rs.long_threshold < 16
+    assert sum(map(len, rs.out_pairs)) == 1
+    assert rs.stats["clusters_spawned"] >= 1
 
 
 def test_full_backend_does_not_fail_while_short_supply_lasts():
@@ -174,6 +215,17 @@ def test_full_backend_does_not_fail_while_short_supply_lasts():
         res = rs.query()
         assert res is not None, "failed while lambda-short paths existed"
         rs.delete_path_edges(res[1])
+
+
+def test_query_raises_contract_error_when_retries_run_out(monkeypatch):
+    def dissolved(self, dag_path):
+        raise ClusterContractError("cluster dissolved")
+
+    h = disjoint_paths_residual(4)
+    rs = RestrictedSssp(h, delta=4, m_param=h.g.live_m)
+    monkeypatch.setattr(RestrictedSssp, "_assemble", dissolved)
+    with pytest.raises(ClusterContractError, match="retries exhausted"):
+        rs.query()
 
 
 def test_reference_fail_legality():
