@@ -23,12 +23,16 @@ import heapq
 import math
 
 from .constants import log2c
-from .graph_core import edge_chain
+from .graph_core import DirectedGraph, dijkstra_tree, edge_chain
 
 INF = math.inf
 
 
-class DagSssp:
+class DagSssp(DirectedGraph):
+    """The contracted graph, built on DirectedGraph: length holds the original
+    (untransformed) lengths, lprime the k^2-scaled modified ones, and
+    out_by_class[u][i] the live out-edges of u with weight 2^i."""
+
     def __init__(self, s: int, t: int, d: int, eps_inv: int, gamma: int,
                  n_hint: int, checked: bool = False):
         if eps_inv < 8:
@@ -64,15 +68,10 @@ class DagSssp:
             -(-(d * (1 << i)) // (gamma * self.logn)) for i in range(self.max_class + 1)
         ]
 
-        self.n = 0
-        self.tail: list[int] = []
-        self.head: list[int] = []
-        self.ell0: list[int] = []       # original (untransformed) length
+        super().__init__(0)
         self.lprime: list[int] = []     # k^2-scaled modified length
         self.wclass: list[int] = []
-        self.alive: list[bool] = []
         self.is_temp: list[bool] = []
-        self.in_edges: list[list[int]] = []
         self.out_by_class: list[dict[int, set[int]]] = []
 
         self.est: list[float] = []
@@ -93,9 +92,7 @@ class DagSssp:
     # ------------------------------------------------------------- building
 
     def add_vertex(self) -> int:
-        vid = self.n
-        self.n += 1
-        self.in_edges.append([])
+        vid = super().add_vertex()
         self.out_by_class.append({})
         self.est.append(INF)
         self.in_heap.append([])
@@ -114,19 +111,12 @@ class DagSssp:
         return cls
 
     def _new_edge(self, u: int, v: int, length: int, weight: int, temp: bool = False) -> int:
-        if length <= 0:
-            raise ValueError("length must be positive")
         cls = self._class_of(weight)
-        eid = len(self.tail)
-        self.tail.append(u)
-        self.head.append(v)
-        self.ell0.append(length)
+        eid = DirectedGraph.add_edge(self, u, v, length, weight)
         lp = self.k * self.k * self._transform(length) + self.k * self.thresholds[cls]
         self.lprime.append(lp)
         self.wclass.append(cls)
-        self.alive.append(True)
         self.is_temp.append(temp)
-        self.in_edges[v].append(eid)
         self.out_by_class[u].setdefault(cls, set()).add(eid)
         self.stale.append(INF)
         self.key_of.append(INF)
@@ -148,34 +138,13 @@ class DagSssp:
         except AssertionError as exc:
             raise ValueError(f"input violates the bucket-degree property: {exc}")
         self.finalized = True
-        dist: list[float] = [INF] * self.n
-        best: list[int | None] = [None] * self.n
-        dist[self.s] = 0
-        heap = [(0, self.s)]
-        while heap:
-            dcur, v = heapq.heappop(heap)
-            if dcur > dist[v]:
-                continue
-            for cls, eids in self.out_by_class[v].items():
-                for eid in sorted(eids):
-                    self.work += 1
-                    w = self.head[eid]
-                    nd = dcur + self.lprime[eid]
-                    if nd < dist[w]:
-                        dist[w] = nd
-                        best[w] = eid
-                        heapq.heappush(heap, (nd, w))
-                    elif nd == dist[w] and best[w] is not None and eid < best[w]:
-                        best[w] = eid
+        dist, parent, scans = dijkstra_tree(self, self.s, self.lprime)
+        self.work += scans
         for v in range(self.n):
             self.est[v] = dist[v] if dist[v] <= self.cap else INF
-        for v in range(self.n):
-            if v != self.s and self.est[v] < INF:
-                eid = best[v]
-                if eid is None:
-                    raise AssertionError(f"reached vertex {v} has no parent edge")
-                self.parent_edge[v] = eid
-                self.children[self.tail[eid]].add(v)
+            if v != self.s and self.est[v] is not INF:
+                self.parent_edge[v] = parent[v]
+                self.children[self.tail[parent[v]]].add(v)
         for eid in range(len(self.tail)):
             self.stale[eid] = self.est[self.tail[eid]]
             self._set_key(eid)
@@ -274,23 +243,25 @@ class DagSssp:
 
     # ------------------------------------------------------------ operations
 
-    def delete_edge(self, eid: int) -> None:
-        if not self.finalized:
-            raise RuntimeError("finalize first")
-        if not self.alive[eid]:
-            raise ValueError(f"edge {eid} already deleted")
-        self.alive[eid] = False
+    def _drop(self, eid: int) -> None:
+        """Tombstone eid and queue its head if eid was the head's tree edge."""
+        DirectedGraph.delete_edge(self, eid)
         self.key_of[eid] = INF
         self.out_by_class[self.tail[eid]][self.wclass[eid]].discard(eid)
-        self.work += 1
         v = self.head[eid]
-        self._q = []
-        self._q_members = {}
         if self.parent_edge[v] == eid:
             self.parent_edge[v] = None
             self.children[self.tail[eid]].discard(v)
             self._enqueue(v)
-            self._process_queue()
+
+    def delete_edge(self, eid: int) -> None:
+        if not self.finalized:
+            raise RuntimeError("finalize first")
+        self._q = []
+        self._q_members = {}
+        self._drop(eid)
+        self.work += 1
+        self._process_queue()
         if self.checked:
             self.check_invariants()
 
@@ -322,7 +293,7 @@ class DagSssp:
                 raise AssertionError(f"vertex {v} has an estimate but no parent edge")
             x = self.tail[pe]
             for u in new_ids:
-                te = self._new_edge(x, u, self.ell0[pe], 1 << self.wclass[pe], temp=True)
+                te = self._new_edge(x, u, self.length[pe], 1 << self.wclass[pe], temp=True)
                 self.lprime[te] = self.lprime[pe]
                 self.stale[te] = self.stale[pe]
                 self._set_key(te)
@@ -353,14 +324,7 @@ class DagSssp:
         self._q = []
         self._q_members = {}
         for te in temp_ids:
-            self.alive[te] = False
-            self.key_of[te] = INF
-            self.out_by_class[self.tail[te]][self.wclass[te]].discard(te)
-            u = self.head[te]
-            if self.parent_edge[u] == te:
-                self.parent_edge[u] = None
-                self.children[self.tail[te]].discard(u)
-                self._enqueue(u)
+            self._drop(te)
         self._process_queue()
         if self.checked:
             self.check_invariants()
@@ -370,12 +334,12 @@ class DagSssp:
                      incoming: bool) -> int:
         cls = self._class_of(weight)
         if incoming:
-            cands = [e for e in self.in_edges[v]
+            cands = [e for e in self.in_adj[v]
                      if self.alive[e] and self.tail[e] == outside
-                     and self.ell0[e] == length and self.wclass[e] == cls]
+                     and self.length[e] == length and self.wclass[e] == cls]
         else:
             cands = [e for e in self.out_by_class[v].get(cls, ())
-                     if self.alive[e] and self.head[e] == outside and self.ell0[e] == length]
+                     if self.alive[e] and self.head[e] == outside and self.length[e] == length]
         if not cands:
             raise ValueError("vertex-split edge has no mirror in the current graph")
         return min(cands)
@@ -389,39 +353,20 @@ class DagSssp:
             return None
         eids = edge_chain(self.parent_edge, self.tail, self.s, self.t)
         if self.checked:
-            total = sum(self.ell0[e] for e in eids)
+            total = self.path_length(eids)
             k = self.k
             if total * 10 * k > (10 * k + 100) * self.d_original:
                 raise AssertionError("query path exceeds (1+10eps)*d")
         return eids
 
     def path_length(self, eids: list[int]) -> int:
-        return sum(self.ell0[e] for e in eids)
+        return sum(self.length[e] for e in eids)
 
     def work_budget(self) -> int:
         n = self.n
         return 16 * self.k * self.k * (n * n + self.m_counted + self.gamma * n)
 
     # ------------------------------------------------------------ invariants
-
-    def _exact_dist(self) -> list[float]:
-        dist: list[float] = [INF] * self.n
-        dist[self.s] = 0
-        heap = [(0, self.s)]
-        while heap:
-            dcur, v = heapq.heappop(heap)
-            if dcur > dist[v]:
-                continue
-            for cls, eids in self.out_by_class[v].items():
-                for eid in eids:
-                    if not self.alive[eid]:
-                        continue
-                    w = self.head[eid]
-                    nd = dcur + self.lprime[eid]
-                    if nd < dist[w]:
-                        dist[w] = nd
-                        heapq.heappush(heap, (nd, w))
-        return dist
 
     def check_invariants(self) -> None:
         k = self.k
@@ -446,7 +391,7 @@ class DagSssp:
                 if key != self.est[v]:
                     raise AssertionError(f"tree key mismatch at {v}")
                 best = INF
-                for eid in self.in_edges[v]:
+                for eid in self.in_adj[v]:
                     if self.alive[eid] and self.stale[eid] is not INF:
                         best = min(best, self.stale[eid] + self.lprime[eid])
                 if best < key:
@@ -465,7 +410,7 @@ class DagSssp:
                 ):
                     raise AssertionError(f"staleness bound violated on edge {eid}")
         # I4/I5 against exact distances over modified lengths
-        dist = self._exact_dist()
+        dist = dijkstra_tree(self, self.s, self.lprime)[0]
         for v in range(self.n):
             if dist[v] <= self.cap:
                 if self.est[v] is INF or self.est[v] > dist[v]:
@@ -475,14 +420,8 @@ class DagSssp:
                     raise AssertionError(f"estimate below (1-eps)*dist at {v}")
             if self.est[v] is not INF and v != self.s:
                 # tree path length within est/(1-eps)
-                total = 0
-                cur = v
-                while cur != self.s:
-                    pe = self.parent_edge[cur]
-                    if pe is None:
-                        raise AssertionError(f"tree vertex {cur} has no parent edge")
-                    total += self.lprime[pe]
-                    cur = self.tail[pe]
+                total = sum(self.lprime[e] for e in
+                            edge_chain(self.parent_edge, self.tail, self.s, v))
                 if total * (k - 1) > self.est[v] * k:
                     raise AssertionError(f"tree path too long at {v}")
 

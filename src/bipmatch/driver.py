@@ -48,7 +48,6 @@ class RunReport:
     backend_failures: int = 0
     matching_size: int = 0
     max_congestion: int = 0
-    cuts_emitted: int = 0
     backend_stats: dict = field(default_factory=dict)
 
     def phase_count(self) -> int:
@@ -186,7 +185,6 @@ def max_matching(g: BipartiteGraph, cfg: DriverConfig | None = None
             report.backend_failures += 1
             result = MwuResult([], [], {}, lam=0, m=m)
         report.max_congestion = max(report.max_congestion, result.max_usage())
-        report.cuts_emitted += result.backend_stats.get("cuts", 0)
         for key, val in result.backend_stats.items():
             if isinstance(val, int):
                 report.backend_stats[key] = report.backend_stats.get(key, 0) + val

@@ -17,10 +17,11 @@ at the same level, since tail levels and lengths only grow.
 from __future__ import annotations
 
 import heapq
+import math
 
-from .graph_core import DirectedGraph, edge_chain
+from .graph_core import DirectedGraph, dijkstra_tree, edge_chain
 
-INF = float("inf")
+INF = math.inf
 
 
 class EsTree(DirectedGraph):
@@ -40,46 +41,14 @@ class EsTree(DirectedGraph):
             self.add_edge(u, v, ln)
         self.root = root
         self.depth = depth
-        self.level: list[float] = [INF] * n
-        self.parent_edge: list[int | None] = [None] * n
+        self.level, self.parent_edge, self.scan_steps = dijkstra_tree(self, root, self.length,
+                                                                      depth)
         self.children: list[set[int]] = [set() for _ in range(n)]
-        self.ptr = [0] * n
-        self.scan_steps = 0
-        self.dropped: list[int] = []  # vertices newly pushed past the depth bound
-        self._build()
-
-    # ------------------------------------------------------------------ build
-
-    def _build(self) -> None:
-        dist = self.level
-        dist[self.root] = 0
-        best_edge: list[int | None] = [None] * self.n
-        heap = [(0, self.root)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > dist[v]:
-                continue
-            for out in self.out_adj[v]:
-                self.scan_steps += 1
-                if not self.alive[out]:
-                    continue
-                w = self.head[out]
-                nd = d + self.length[out]
-                if nd > self.depth:
-                    continue
-                if nd < dist[w]:
-                    dist[w] = nd
-                    best_edge[w] = out
-                    heapq.heappush(heap, (nd, w))
-                elif nd == dist[w] and best_edge[w] is not None and out < best_edge[w]:
-                    best_edge[w] = out
-        for v in range(self.n):
-            if v != self.root and dist[v] < INF:
-                eid = best_edge[v]
-                if eid is None:
-                    raise AssertionError(f"reached vertex {v} has no parent edge")
-                self.parent_edge[v] = eid
+        for v, eid in enumerate(self.parent_edge):
+            if eid is not None:
                 self.children[self.tail[eid]].add(v)
+        self.ptr = [0] * n
+        self.dropped: list[int] = []  # vertices newly pushed past the depth bound
 
     # ---------------------------------------------------------------- queries
 

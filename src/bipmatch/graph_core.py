@@ -8,6 +8,8 @@ stable edge ids can be held by long-lived index structures.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 
 from .constants import log2c
@@ -475,6 +477,40 @@ def edge_chain(parent_edge, tail, root: int, v: int) -> list[int]:
         v = tail[eid]
     eids.reverse()
     return eids
+
+
+def dijkstra_tree(g: DirectedGraph, root: int, length, bound=None):
+    """Shortest-path tree from root over g's live edges, length[eid] each.
+
+    Returns (dist, parent_edge, scans).  Relaxations past bound are dropped;
+    unreached vertices keep dist math.inf (that object) and parent None.  A
+    vertex's parent is the smallest-id edge realizing its distance, and scans
+    counts every out_adj entry of every settled vertex, dead edges included.
+    """
+    dist: list[float] = [math.inf] * g.n
+    parent: list[int | None] = [None] * g.n
+    dist[root] = 0
+    scans = 0
+    heap = [(0, root)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for eid in g.out_adj[v]:
+            scans += 1
+            if not g.alive[eid]:
+                continue
+            w = g.head[eid]
+            nd = d + length[eid]
+            if bound is not None and nd > bound:
+                continue
+            if nd < dist[w]:
+                dist[w] = nd
+                parent[w] = eid
+                heapq.heappush(heap, (nd, w))
+            elif nd == dist[w] and parent[w] is not None and eid < parent[w]:
+                parent[w] = eid
+    return dist, parent, scans
 
 
 def tree_path(parent: dict, v) -> tuple[list, list]:

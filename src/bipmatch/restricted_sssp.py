@@ -156,9 +156,18 @@ class RestrictedSssp:
         members = rec.members
         return any(h in members for u in members for h in self.out_pairs[u])
 
-    def _bank_cluster(self, rec: ClusterRecord) -> None:
+    def _drop_state(self, rec: ClusterRecord) -> None:
+        """Bank the scans of a cluster's trees and tear its state down."""
         if rec.state is not None:
             self._banked_es_scans += rec.state.total_es_scans()
+            rec.state = None
+
+    def _retire(self, cid: int) -> None:
+        """If cid's cluster state halted, drop it and queue cid again."""
+        rec = self.clusters[cid]
+        if rec.state is not None and rec.state.halted:
+            self._drop_state(rec)
+            self._pending.append(cid)
 
     def _resolve_pending(self) -> None:
         while self._pending:
@@ -172,11 +181,7 @@ class RestrictedSssp:
                 self._shatter(cid)
                 continue
             self._spawn_state(cid)
-            rec = self.clusters[cid]
-            if rec.state is not None and rec.state.halted:
-                self._bank_cluster(rec)
-                rec.state = None
-                self._pending.append(cid)
+            self._retire(cid)
 
     def _spawn_state(self, cid: int) -> None:
         rec = self.clusters[cid]
@@ -366,10 +371,7 @@ class RestrictedSssp:
             rec = self.clusters[cid]
             if rec.state is not None and rec.state.needs_rebuild:
                 rec.state.flush_rebuild()
-                if rec.state.halted:
-                    self._bank_cluster(rec)
-                    rec.state = None
-                    self._pending.append(cid)
+                self._retire(cid)
         self._resolve_pending()
 
     def _cheapest_copy(self, u: int, v: int) -> int:
@@ -461,9 +463,7 @@ class RestrictedSssp:
 
     def _dissolve(self, cid: int) -> None:
         """Emergency fallback: split a misbehaving cluster into singletons."""
-        rec = self.clusters[cid]
-        self._bank_cluster(rec)
-        rec.state = None
+        self._drop_state(self.clusters[cid])
         self._shatter(cid)
         self._resolve_pending()
 
@@ -501,10 +501,7 @@ class RestrictedSssp:
             if rec.state is None:
                 continue
             rec.state.delete_edges(per_cluster[cid])
-            if rec.state.halted:
-                self._bank_cluster(rec)
-                rec.state = None
-                self._pending.append(cid)
+            self._retire(cid)
         self._resolve_pending()
         if self.checked:
             self.check_invariants()

@@ -51,7 +51,7 @@ def driver_outcome(case: str, backend: str) -> dict:
                    for ph in report.phases],
         "exact": report.exact_augmentations,
         "fallbacks": report.fallback_phases,
-        "cuts": report.cuts_emitted,
+        "cuts": report.backend_stats.get("cuts", 0),
     }
 
 

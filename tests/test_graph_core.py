@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipmatch.graph_core import (BipartiteGraph, DirectedGraph, Matching, ResidualView,
-                                 S_ID, T_ID, augment, bfs_tree, left_id, parse_graph_text,
-                                 residual_graph, right_id, shortcut_to_simple, tree_path,
-                                 validate_well_structured, write_graph_text)
+                                 S_ID, T_ID, augment, bfs_tree, dijkstra_tree, left_id,
+                                 parse_graph_text, residual_graph, right_id,
+                                 shortcut_to_simple, tree_path, validate_well_structured,
+                                 write_graph_text)
+from bipmatch.oracles import dijkstra
 from conftest import residual_of_random
 
 
@@ -293,6 +296,44 @@ def test_bfs_tree_over_a_directed_graph_skips_dead_edges():
     assert tree_path(bfs_tree(0, g, target=2), 2) == ([0, 2], [2])
     g.delete_edge(2)
     assert tree_path(bfs_tree(0, g, target=2), 2) == ([0, 1, 2], [0, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dijkstra_tree_matches_the_oracle_with_smallest_id_parents(data):
+    n = data.draw(st.integers(1, 6))
+    g = DirectedGraph(n)
+    # lengths 1..2 make equal-length ties common
+    for u, v, ln in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                                 st.integers(1, 2)), max_size=30)):
+        g.add_edge(u, v, ln)
+    for eid in data.draw(st.sets(st.integers(0, max(0, len(g.tail) - 1)),
+                                 max_size=len(g.tail) // 3)):
+        g.delete_edge(eid)
+    root = data.draw(st.integers(0, n - 1))
+    bound = data.draw(st.none() | st.integers(0, 8))
+    dist, parent, scans = dijkstra_tree(g, root, g.length, bound)
+    exact = dijkstra(g, root)
+    for v in range(n):
+        if exact[v] < math.inf and (bound is None or exact[v] <= bound):
+            assert dist[v] == exact[v]
+        else:
+            assert dist[v] is math.inf
+        if v == root or dist[v] is math.inf:
+            assert parent[v] is None
+        else:
+            tight = [e for e in g.in_live(v) if dist[g.tail[e]] + g.length[e] == dist[v]]
+            assert parent[v] == min(tight)
+    assert scans == sum(len(g.out_adj[v]) for v in range(n) if dist[v] is not math.inf)
+
+
+def test_dijkstra_tree_parent_is_the_smallest_tight_edge():
+    g = DirectedGraph(3)
+    for u, v, ln in [(1, 2, 1), (0, 1, 1), (0, 2, 2)]:
+        g.add_edge(u, v, ln)
+    # edge 2 reaches vertex 2 first, edge 0 ties it later with a smaller id
+    assert dijkstra_tree(g, 0, g.length) == ([0, 1, 2], [None, 1, 0], 3)
+    assert dijkstra_tree(g, 0, g.length, bound=1) == ([0, 1, math.inf], [None, 1, None], 3)
 
 
 def test_shortcut_to_simple():
