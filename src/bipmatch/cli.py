@@ -29,7 +29,7 @@ def generate(kind: str, params: dict, seed: int) -> BipartiteGraph:
     rng = random.Random(seed)
     if kind == "random-gnp":
         nl = params.get("n", 16)
-        nr = params.get("n2") or nl
+        nr = nl if params.get("n2") is None else params["n2"]
         p = params.get("p", 0.1)
         edges = tuple((u, v) for u in range(nl) for v in range(nr)
                       if rng.random() < p)

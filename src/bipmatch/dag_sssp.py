@@ -70,7 +70,6 @@ class DagSssp(DirectedGraph):
 
         super().__init__(0)
         self.lprime: list[int] = []     # k^2-scaled modified length
-        self.wclass: list[int] = []
         self.is_temp: list[bool] = []
         self.out_by_class: list[dict[int, set[int]]] = []
 
@@ -115,7 +114,6 @@ class DagSssp(DirectedGraph):
         eid = DirectedGraph.add_edge(self, u, v, length, weight)
         lp = self.k * self.k * self._transform(length) + self.k * self.thresholds[cls]
         self.lprime.append(lp)
-        self.wclass.append(cls)
         self.is_temp.append(temp)
         self.out_by_class[u].setdefault(cls, set()).add(eid)
         self.stale.append(INF)
@@ -247,7 +245,7 @@ class DagSssp(DirectedGraph):
         """Tombstone eid and queue its head if eid was the head's tree edge."""
         DirectedGraph.delete_edge(self, eid)
         self.key_of[eid] = INF
-        self.out_by_class[self.tail[eid]][self.wclass[eid]].discard(eid)
+        self.out_by_class[self.tail[eid]][self.weight[eid].bit_length() - 1].discard(eid)
         v = self.head[eid]
         if self.parent_edge[v] == eid:
             self.parent_edge[v] = None
@@ -293,7 +291,7 @@ class DagSssp(DirectedGraph):
                 raise AssertionError(f"vertex {v} has an estimate but no parent edge")
             x = self.tail[pe]
             for u in new_ids:
-                te = self._new_edge(x, u, self.length[pe], 1 << self.wclass[pe], temp=True)
+                te = self._new_edge(x, u, self.length[pe], self.weight[pe], temp=True)
                 self.lprime[te] = self.lprime[pe]
                 self.stale[te] = self.stale[pe]
                 self._set_key(te)
@@ -336,7 +334,7 @@ class DagSssp(DirectedGraph):
         if incoming:
             cands = [e for e in self.in_adj[v]
                      if self.alive[e] and self.tail[e] == outside
-                     and self.length[e] == length and self.wclass[e] == cls]
+                     and self.length[e] == length and self.weight[e] == weight]
         else:
             cands = [e for e in self.out_by_class[v].get(cls, ())
                      if self.alive[e] and self.head[e] == outside and self.length[e] == length]
@@ -400,7 +398,7 @@ class DagSssp(DirectedGraph):
             if not self.alive[eid]:
                 continue
             u = self.tail[eid]
-            t_i = self.thresholds[self.wclass[eid]]
+            t_i = self.thresholds[self.weight[eid].bit_length() - 1]
             if self.est[u] is INF:
                 if self.stale[eid] is not INF:
                     raise AssertionError("stale finite while estimate infinite")

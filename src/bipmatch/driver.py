@@ -66,20 +66,6 @@ def find_augmenting_path(h: WellStructuredGraph | ResidualView) -> list[int] | N
     return tree_path(parent, T_ID)[0] if T_ID in parent else None
 
 
-class _FlowArcs:
-    """adj[u] of the residual network of a unit flow over some edges of g:
-    flow-free edges forward in id order, then flow edges backward in id order."""
-
-    def __init__(self, g, flow: list[int]):
-        self.g = g
-        self.flow = flow
-
-    def __getitem__(self, u: int) -> list[tuple[int, int]]:
-        g, flow = self.g, self.flow
-        return ([(e, g.head[e]) for e in g.out_adj[u] if flow[e] == 0]
-                + [(e, g.tail[e]) for e in g.in_adj[u] if flow[e] == 1])
-
-
 def disjoint_paths(h: WellStructuredGraph, eids) -> list[list[int]]:
     """A maximum set of edge-disjoint s-t paths over the edges eids of h.
 
@@ -87,18 +73,61 @@ def disjoint_paths(h: WellStructuredGraph, eids) -> list[list[int]]:
     follows each vertex's flow edges in id order.  In a residual graph every
     L vertex has one in-edge and every R vertex one out-edge, so the paths
     are internally vertex-disjoint as well.
+
+    Each BFS tries, from a vertex u, its flow-free offered out-edges forward
+    in id order, then its flow-carrying offered in-edges backward in id
+    order.  The offered edges are indexed per vertex once per call, so a BFS
+    costs O(offered edges), not O(edges of h).
     """
     g = h.g
-    flow = [-1] * len(g.tail)  # -1: not offered
+    tail, head = g.tail, g.head
+    flow = [-1] * len(tail)  # -1: not offered
+    offered = []
     for eid in eids:
-        flow[eid] = 0
-    arcs = _FlowArcs(g, flow)
-    while True:
-        parent = bfs_tree(S_ID, arcs, target=T_ID)
-        if T_ID not in parent:
-            break
-        for eid in tree_path(parent, T_ID)[1]:
-            flow[eid] ^= 1
+        if flow[eid] < 0:
+            flow[eid] = 0
+            offered.append(eid)
+    offered.sort()
+    out_of: list[list[int]] = [[] for _ in range(g.n)]
+    in_of: list[list[int]] = [[] for _ in range(g.n)]
+    for eid in offered:
+        out_of[tail[eid]].append(eid)
+        in_of[head[eid]].append(eid)
+    seen = [0] * g.n   # number of the last BFS that reached v
+    par_e = [0] * g.n  # the edge by which that BFS reached v
+
+    def reaches_sink(stamp: int) -> bool:
+        seen[S_ID] = stamp
+        queue = [S_ID]
+        for u in queue:  # grows while it is read: a FIFO queue
+            for e in out_of[u]:
+                if flow[e] == 0:
+                    v = head[e]
+                    if seen[v] != stamp:
+                        seen[v] = stamp
+                        par_e[v] = e
+                        if v == T_ID:
+                            return True
+                        queue.append(v)
+            for e in in_of[u]:
+                if flow[e] == 1:
+                    v = tail[e]
+                    if seen[v] != stamp:
+                        seen[v] = stamp
+                        par_e[v] = e
+                        if v == T_ID:
+                            return True
+                        queue.append(v)
+        return False
+
+    stamp = 1
+    while reaches_sink(stamp):
+        v = T_ID
+        while v != S_ID:
+            e = par_e[v]
+            v = tail[e] if flow[e] == 0 else head[e]
+            flow[e] ^= 1
+        stamp += 1
 
     remaining: dict[int, list[int]] = {}
     for eid, f in enumerate(flow):

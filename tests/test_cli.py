@@ -12,6 +12,19 @@ def test_generate_gnp_extremes():
     assert len(g1.edges) == 25
 
 
+def test_generate_gnp_takes_an_empty_right_side(capsys):
+    g = generate("random-gnp", {"n": 5, "n2": 0, "p": 1.0}, seed=1)
+    assert (g.n_left, g.n_right, g.edges) == (5, 0, ())
+    assert generate("random-gnp", {"n": 5, "p": 1.0}, seed=1).n_right == 5
+    rc = main(["--algo", "hk", "--gen", "random-gnp", "--n", "5", "--n2", "0",
+               "--csv", "-"])
+    assert rc == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert (fields["n_left"], fields["n_right"], fields["m"]) == ("5", "0", "0")
+    assert fields["matching"] == "0"
+
+
 def test_generate_determinism():
     a = generate("random-gnp", {"n": 20, "p": 0.3}, seed=7)
     b = generate("random-gnp", {"n": 20, "p": 0.3}, seed=7)

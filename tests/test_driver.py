@@ -10,13 +10,14 @@ from bipmatch.constants import Constants, log2c
 from bipmatch.cli import generate
 from bipmatch.driver import (DriverConfig, disjoint_paths, max_matching,
                              round_to_disjoint)
-from bipmatch.graph_core import (BipartiteGraph, Matching, S_ID, T_ID, augment,
-                                 residual_graph)
+from bipmatch.graph_core import (BipartiteGraph, Matching, S_ID, T_ID,
+                                 WellStructuredGraph, augment, bfs_tree,
+                                 residual_graph, tree_path)
 from bipmatch.maintain_cluster import ClusterContractError
 from bipmatch.mwu import mwu_run
 from bipmatch.oracles import hopcroft_karp
 from bipmatch.restricted_sssp import RestrictedSssp
-from conftest import random_bipartite
+from conftest import random_bipartite, random_matching
 
 
 def test_empty_graph():
@@ -113,6 +114,108 @@ def test_disjoint_paths_follows_one_long_augmenting_path():
     paths = disjoint_paths(h, h.g.live_edges())
     assert len(paths) == 1 and len(paths[0]) == 2 * k + 2
     assert len(augment(g, partial, paths)) == k
+
+
+class FlowArcs:
+    """adj[u] of the residual network of a unit flow over some edges of g:
+    flow-free edges forward in id order, then flow edges backward in id order."""
+
+    def __init__(self, g, flow):
+        self.g = g
+        self.flow = flow
+
+    def __getitem__(self, u):
+        g, flow = self.g, self.flow
+        return ([(e, g.head[e]) for e in g.out_adj[u] if flow[e] == 0]
+                + [(e, g.tail[e]) for e in g.in_adj[u] if flow[e] == 1])
+
+
+def bfs_tree_disjoint_paths(h, eids):
+    """disjoint_paths as one bfs_tree over FlowArcs per augmentation, with
+    the same flow decomposition: the oracle for disjoint_paths' own BFS."""
+    g = h.g
+    flow = [-1] * len(g.tail)
+    for eid in eids:
+        flow[eid] = 0
+    while True:
+        parent = bfs_tree(S_ID, FlowArcs(g, flow), target=T_ID)
+        if T_ID not in parent:
+            break
+        for eid in tree_path(parent, T_ID)[1]:
+            flow[eid] ^= 1
+    remaining = {}
+    for eid, f in enumerate(flow):
+        if f == 1:
+            remaining.setdefault(g.tail[eid], []).append(eid)
+    paths = []
+    while remaining.get(S_ID):
+        verts = [S_ID]
+        while verts[-1] != T_ID:
+            eid = remaining[verts[-1]].pop(0)
+            if not remaining[verts[-1]]:
+                del remaining[verts[-1]]
+            verts.append(g.head[eid])
+        paths.append(verts)
+    return paths
+
+
+def random_st_path(rng, g):
+    """Edge ids of a random walk from s that visits no vertex twice, if it
+    ends at t; else None."""
+    verts, eids = {S_ID}, []
+    u = S_ID
+    while u != T_ID:
+        steps = [e for e in g.out_live(u) if g.head[e] not in verts]
+        if not steps:
+            return None
+        eid = rng.choice(steps)
+        eids.append(eid)
+        u = g.head[eid]
+        verts.add(u)
+    return eids
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_disjoint_paths_matches_the_bfs_tree_oracle(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    nl, nr = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    g = random_bipartite(rng, nl, nr, data.draw(st.floats(0.05, 1.0)))
+    h = residual_graph(g, random_matching(rng, g, data.draw(st.floats(0.0, 1.0))))
+    drop = data.draw(st.sampled_from([0.0, 0.1, 0.3]))
+    for eid in list(h.g.live_edges()):
+        if rng.random() < drop:
+            h.g.delete_edge(eid)
+    shape = data.draw(st.sampled_from(["subset", "paths", "all"]))
+    if shape == "subset":
+        offered = [e for e in h.g.live_edges() if rng.random() < 0.7]
+        rng.shuffle(offered)
+    elif shape == "paths":
+        # as round_to_disjoint offers them: the support of a path collection
+        # in first-use order, with the edges the paths share
+        walks = [random_st_path(rng, h.g) for _ in range(data.draw(st.integers(1, 8)))]
+        offered = list(dict.fromkeys(e for w in walks if w for e in w))
+    if shape == "all":  # the fallback phase's generator
+        got = disjoint_paths(h, h.g.live_edges())
+        want = bfs_tree_disjoint_paths(h, h.g.live_edges())
+    else:
+        got = disjoint_paths(h, offered)
+        want = bfs_tree_disjoint_paths(h, offered)
+    assert got == want
+
+
+def test_disjoint_paths_tries_forward_arcs_before_backward_ones():
+    # after the first path s,a,b,t, the second BFS reaches b from c and may
+    # go on forward to x or backward over the flow edge a->b to a; both
+    # reach t two edges later, so the order of the two arcs picks the path
+    s, t, a, b, c, x, w, z = S_ID, T_ID, 2, 3, 4, 5, 6, 7
+    h = WellStructuredGraph(3, 3, size_m=10)
+    for u, v in [(s, a), (a, b), (b, t), (s, c), (c, b), (b, x), (x, w),
+                 (w, t), (a, z), (z, t)]:
+        h.add_edge(u, v)
+    want = [[s, a, b, t], [s, c, b, x, w, t]]
+    assert bfs_tree_disjoint_paths(h, h.g.live_edges()) == want
+    assert disjoint_paths(h, h.g.live_edges()) == want
 
 
 def test_exact_phase_builds_no_residual_graph(monkeypatch):
