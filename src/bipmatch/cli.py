@@ -1,7 +1,7 @@
 """Benchmark harness: generate or load bipartite instances, run matching
 algorithms, capture work counters, emit CSV rows.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage or I/O error.
+Exit codes: 0 ok, 1 verification failure, 2 usage, I/O or internal error.
 """
 
 from __future__ import annotations

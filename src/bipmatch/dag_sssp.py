@@ -1,8 +1,9 @@
 """Decremental approximate s-t shortest paths on weighted DAG-like graphs.
 
-Maintains, under edge deletions and vertex splits, per-vertex distance
-estimates that are multiples of eps, a shortest-path out-tree from the
-source, per-vertex in-neighbor heaps and weight-bucketed out-neighbor sets.
+Maintains, under edge deletions, length increases and vertex splits,
+per-vertex distance estimates that are multiples of eps, a shortest-path
+out-tree from the source, per-vertex in-neighbor heaps and weight-bucketed
+out-neighbor sets.
 A vertex re-communicates its estimate to a weight-2^i out-neighbor only when
 the estimate crosses a multiple of eps^2*ceil(d*2^i/(Gamma*log n)), which is
 what caps the total update work.
@@ -100,8 +101,10 @@ class DagSssp(DirectedGraph):
         self._est_floor.append(0)
         return vid
 
-    def _transform(self, length: int) -> int:
-        return self.c2 * (-(-length // self.c1))
+    def _modified(self, length: int, cls: int) -> int:
+        """The k^2-scaled modified length of a class-cls edge."""
+        k = self.k
+        return k * k * self.c2 * (-(-length // self.c1)) + k * self.thresholds[cls]
 
     def _class_of(self, weight: int) -> int:
         cls = weight.bit_length() - 1
@@ -112,8 +115,7 @@ class DagSssp(DirectedGraph):
     def _new_edge(self, u: int, v: int, length: int, weight: int, temp: bool = False) -> int:
         cls = self._class_of(weight)
         eid = DirectedGraph.add_edge(self, u, v, length, weight)
-        lp = self.k * self.k * self._transform(length) + self.k * self.thresholds[cls]
-        self.lprime.append(lp)
+        self.lprime.append(self._modified(length, cls))
         self.is_temp.append(temp)
         self.out_by_class[u].setdefault(cls, set()).add(eid)
         self.stale.append(INF)
@@ -183,11 +185,7 @@ class DagSssp(DirectedGraph):
                         continue
                     self.stale[eid] = new
                     self._set_key(eid)
-                    u = self.head[eid]
-                    if self.parent_edge[u] == eid:
-                        self.parent_edge[u] = None
-                        self.children[v].discard(u)
-                        self._enqueue(u)
+                    self._orphan_head(eid)
 
     def _enqueue(self, v: int) -> None:
         self._q_members[v] = self.est[v]
@@ -246,22 +244,44 @@ class DagSssp(DirectedGraph):
         DirectedGraph.delete_edge(self, eid)
         self.key_of[eid] = INF
         self.out_by_class[self.tail[eid]][self.weight[eid].bit_length() - 1].discard(eid)
+        self._orphan_head(eid)
+
+    def _orphan_head(self, eid: int) -> None:
+        """Queue eid's head if eid is the head's tree edge."""
         v = self.head[eid]
         if self.parent_edge[v] == eid:
             self.parent_edge[v] = None
             self.children[self.tail[eid]].discard(v)
             self._enqueue(v)
 
-    def delete_edge(self, eid: int) -> None:
+    def _update(self, change) -> None:
+        """Apply change(), which may only raise estimates, then settle the queue."""
         if not self.finalized:
             raise RuntimeError("finalize first")
         self._q = []
         self._q_members = {}
-        self._drop(eid)
+        change()
         self.work += 1
         self._process_queue()
         if self.checked:
             self.check_invariants()
+
+    def delete_edge(self, eid: int) -> None:
+        self._update(lambda: self._drop(eid))
+
+    def increase_length(self, eid: int, length: int) -> None:
+        """Raise live edge eid's original length to length.  Estimates only
+        rise, so this is a legal update like a deletion: eid's head
+        re-attaches if eid was its tree edge."""
+        if not self.alive[eid] or length < self.length[eid]:
+            raise ValueError(f"edge {eid} is dead or would get shorter")
+
+        def lengthen() -> None:
+            self.length[eid] = length
+            self.lprime[eid] = self._modified(length, self.weight[eid].bit_length() - 1)
+            self._set_key(eid)
+            self._orphan_head(eid)
+        self._update(lengthen)
 
     def split_vertex(self, v: int, new_ids: list[int],
                      specs: list[tuple[int, int, int, int]]) -> list[int]:

@@ -209,8 +209,8 @@ def max_matching(g: BipartiteGraph, cfg: DriverConfig | None = None
             result = mwu_run(h, delta_hat, backend=cfg.backend, cnst=cnst,
                              checked=cfg.checked)
         except ClusterContractError:
-            # the backend broke its contract; h is intact (the full backend
-            # runs on its own doubling graph), so the phase falls back
+            # the backend broke its contract; h is intact (neither backend
+            # writes to it), so the phase falls back
             report.backend_failures += 1
             result = MwuResult([], [], {}, lam=0, m=m)
         report.max_congestion = max(report.max_congestion, result.max_usage())

@@ -3,13 +3,12 @@
 Each residual edge stands for parallel copies of lengths 1, 2, 4, ... (the
 length-doubling dual exposed as deletions: using an edge deletes its
 cheapest surviving copy, so its length doubles).  Copy j of edge eid has id
-eid*levels + j in both backends.  The reference backend keeps the copies
-implicit; only the full backend runs over a materialised doubling graph.
-A restricted-SSSP backend supplies s-t paths of scaled length at most
-8*lambda until it legally fails, at which point the collected paths are
-returned.  With a contract-conforming backend the collection has size at
-least Delta/(128*log2 m) and no edge appears on more than ceil(log2 m)
-paths.
+eid*levels + j.  Both backends keep the copies implicit and never write
+to the residual graph.  A restricted-SSSP backend supplies s-t paths of
+scaled length at most 8*lambda until it legally fails, at which point the
+collected paths are returned.  With a contract-conforming backend the
+collection has size at least Delta/(128*log2 m) and no edge appears on more
+than ceil(log2 m) paths.
 """
 
 from __future__ import annotations
@@ -38,7 +37,10 @@ class MwuResult:
 def build_doubling_graph(h: WellStructuredGraph, lam: int) -> WellStructuredGraph:
     """Expand every edge of h, which has no deleted edges, into parallel
     power-of-two length copies: doubling_levels(lam) of them, copy j of
-    edge eid with length 2^j and id eid*levels + j."""
+    edge eid with length 2^j and id eid*levels + j.
+
+    The pipeline never builds it; it is the materialised oracle that tests
+    run the implicit copies of both backends against."""
     levels = doubling_levels(lam)
     hat = WellStructuredGraph(h.n_left, h.n_right, size_m=max(2, h.g.live_m))
     for eid in h.g.live_edges():
@@ -65,13 +67,10 @@ def mwu_run(h: WellStructuredGraph, delta: int, backend: str = "reference",
     lam = mwu_lambda(m, delta)
     levels = doubling_levels(lam)
     delta_eff = min(delta, h.n)
-    if backend == "reference":
-        sssp = ReferenceSssp(h, delta_eff, m, lam=lam)
-    elif backend == "full":
-        sssp = RestrictedSssp(build_doubling_graph(h, lam), delta_eff, m, cnst=cnst,
-                              lam=lam, checked=checked)
-    else:
+    backends = {"reference": ReferenceSssp, "full": RestrictedSssp}
+    if backend not in backends:
         raise ValueError(f"unknown backend {backend!r}")
+    sssp = backends[backend](h, delta_eff, m, cnst=cnst, lam=lam, checked=checked)
 
     usage_cap = log2c(m)
     usage: dict[int, int] = {}

@@ -11,16 +11,18 @@ deleted.  Two implementations share the interface:
   unit-length simple short-edge graph, and every emitted cut splits an
   interval with the sparse direction placed right-to-left.  Leaf clusters,
   and clusters with no short edge inside, are shattered into singletons.
-  Part 2 runs the DAG-like SSSP structure on the contracted graph, whose
-  parallel copies carry power-of-two weights bounding the position gap
-  their edge skips.
+  Part 2 runs the DAG-like SSSP structure on the contracted graph, which
+  holds one edge per crossing residual edge and power-of-two weight class
+  bounding the position gap the edge skips.
 
-- ReferenceSssp: plain decremental shortest path, failing exactly when
-  dist(s,t) > 8*lambda.  It keeps one Even-Shiloach tree over the residual
-  edges and leaves the doubling graph implicit: using an edge doubles its
-  length, and copy ids are computed, not stored.  It satisfies the same
-  contract and anchors differential tests.  Only RestrictedSssp runs over a
-  materialised doubling graph.
+- ReferenceSssp: plain decremental shortest path over one Even-Shiloach
+  tree, failing exactly when dist(s,t) > 8*lambda; it anchors differential
+  tests.
+
+Both take the residual graph and lambda and keep its doubling graph
+implicit: copy j of edge eid, of length 2^j, has id eid*levels + j.  Only
+the cheapest live copy matters, so each keeps one current length per edge,
+which doubles when the edge is used.  Neither writes to the residual graph.
 """
 
 from __future__ import annotations
@@ -31,23 +33,13 @@ from dataclasses import dataclass, field
 from .constants import Constants, doubling_levels, log2c, raw_lambda
 from .dag_sssp import DagSssp
 from .es_tree import EsTree
-from .graph_core import CoreGraph, DirectedGraph, WellStructuredGraph, S_ID, T_ID
+from .graph_core import CoreGraph, WellStructuredGraph, S_ID, T_ID
 from .maintain_cluster import ClusterContractError, ClusterState
 
 
 def _min_exp(skip: int) -> int:
     """Smallest i with 2^i >= skip (skip >= 1)."""
     return (skip - 1).bit_length()
-
-
-def _out_bundles(g: DirectedGraph, u: int) -> list[list[int]]:
-    """u's live out-edges grouped by head, each group sorted by (length, id)
-    with the cheapest copy last, so dead copies pop off the end."""
-    by_head: dict[int, list[int]] = {}
-    for eid in g.out_live(u):
-        by_head.setdefault(g.head[eid], []).append(eid)
-    return [sorted(b, key=lambda e: (g.length[e], e), reverse=True)
-            for b in by_head.values()]
 
 
 @dataclass
@@ -70,12 +62,18 @@ class RestrictedSssp:
                  checked: bool = False):
         if delta < 1 or delta > graph.n:
             raise ValueError("Delta must be in [1, |V|]")
+        g = graph.g
+        if g.live_m != len(g.tail):
+            raise ValueError("RestrictedSssp needs a graph without deleted edges")
         self.graph = graph
         self.delta = delta
         self.m_param = max(2, m_param)
         self.cnst = cnst or Constants.desk()
         self.checked = checked
         self.lam = lam if lam is not None else raw_lambda(self.m_param, delta)
+        self.levels = doubling_levels(self.lam)
+        # each edge's current (cheapest live copy's) length; h is never written
+        self.length = list(g.length)
         self._validate_lengths()
 
         n = graph.n
@@ -97,15 +95,15 @@ class RestrictedSssp:
         self._banked_es_scans = 0  # scans of cluster trees already torn down
 
         # simple short-edge graph bookkeeping
-        self.short_mult: dict[tuple[int, int], int] = {}
         self.out_pairs: list[set[int]] = [set() for _ in range(n)]
-        self.pair_geids = {(u, graph.g.head[b[0]]): b
-                           for u in range(n) for b in _out_bundles(graph.g, u)}
-        for eid in graph.g.live_edges():
-            u, v = graph.g.tail[eid], graph.g.head[eid]
-            if graph.g.length[eid] < self.long_threshold:
-                self.short_mult[(u, v)] = self.short_mult.get((u, v), 0) + 1
-                self.out_pairs[u].add(v)
+        self.pair_eid: dict[tuple[int, int], int] = {}
+        for eid, pair in enumerate(zip(g.tail, g.head)):
+            if pair in self.pair_eid:
+                raise ValueError(f"parallel edges {self.pair_eid[pair]} and {eid}: "
+                                 "a residual graph is simple")
+            self.pair_eid[pair] = eid
+            if self.length[eid] < self.long_threshold:
+                self.out_pairs[pair[0]].add(pair[1])
 
         # approximate topological order
         self.cluster_of: list[int] = [-1] * n
@@ -130,8 +128,7 @@ class RestrictedSssp:
 
     def _validate_lengths(self) -> None:
         cap = 16 * self.lam
-        for eid in self.graph.g.live_edges():
-            ln = self.graph.g.length[eid]
+        for eid, ln in enumerate(self.length):
             if ln < 1 or (ln & (ln - 1)) != 0 or ln > cap:
                 raise ValueError(
                     f"edge {eid} length {ln} is not a power of 2 in [1, {cap}]"
@@ -263,7 +260,7 @@ class RestrictedSssp:
         for cid in [s_cid, t_cid] + rest:
             self.clusters[cid].sup = dag.add_vertex()
         g = self.graph.g
-        crossing = [eid for eid in g.live_edges()
+        crossing = [eid for eid in range(len(g.tail))
                     if self.cluster_of[g.tail[eid]] != self.cluster_of[g.head[eid]]]
         self.dag_payload: dict[int, tuple[int, int]] = {}
         self.copies = self._place_copies(
@@ -299,20 +296,17 @@ class RestrictedSssp:
         if self.cluster_of[u] == self.cluster_of[v]:
             return
         lo = _min_exp(self._skip(u, v))
-        per = self.copies.get(eid)
-        if not per:
-            return
+        per = self.copies[eid]
         for i in sorted(per):
             if i < lo:
-                deid = per.pop(i)
-                if dag.alive[deid]:
-                    dag.delete_edge(deid)
+                dag.delete_edge(per.pop(i))
 
     def _place_copies(self, eids: list[int], create) -> dict[int, dict[int, int]]:
-        """Copies 2^i, i >= _min_exp(skip), of each edge between its endpoints'
-        current supernodes: create(specs) makes the DAG edges from their
-        (tail, head, length, weight) specs and returns their ids in order.
-        Returns each edge's {i: DAG edge id}."""
+        """One DAG edge per weight class 2^i, i >= _min_exp(skip), of each edge
+        between its endpoints' current supernodes, at the edge's current
+        length: create(specs) makes the DAG edges from their (tail, head,
+        length, weight) specs and returns their ids in order.  Returns each
+        edge's {i: DAG edge id}."""
         g = self.graph.g
         specs: list[tuple[int, int, int, int]] = []
         meta: list[tuple[int, int]] = []
@@ -321,7 +315,7 @@ class RestrictedSssp:
             tail_sup = self.clusters[self.cluster_of[u]].sup
             head_sup = self.clusters[self.cluster_of[v]].sup
             for i in range(_min_exp(self._skip(u, v)), self.max_exp + 1):
-                specs.append((tail_sup, head_sup, g.length[eid], 1 << i))
+                specs.append((tail_sup, head_sup, self.length[eid], 1 << i))
                 meta.append((eid, i))
         per: dict[int, dict[int, int]] = {eid: {} for eid in eids}
         for (eid, i), deid in zip(meta, create(specs)):
@@ -332,7 +326,7 @@ class RestrictedSssp:
     def _rehome(self, cid: int, new_cids: list[int]) -> None:
         """Split the supernodes of new_cids (ids dag.n, dag.n+1, ... in order)
         off cid's and give every edge that now crosses into or out of a new
-        cluster fresh copies in place of its old ones."""
+        cluster fresh DAG edges in place of its old ones."""
         dag = self.dag
         if dag is None:
             raise AssertionError("contracted graph not built")
@@ -344,7 +338,7 @@ class RestrictedSssp:
             verts |= self.clusters[nc].members
         new_set = set(new_cids)
         touched = sorted({eid for v in verts for adj in (g.out_adj[v], g.in_adj[v])
-                          for eid in adj if g.alive[eid]})
+                          for eid in adj})
         moved = []
         for eid in touched:
             cu, cv = self.cluster_of[g.tail[eid]], self.cluster_of[g.head[eid]]
@@ -355,8 +349,7 @@ class RestrictedSssp:
             moved, lambda specs: dag.split_vertex(old_sup, new_sups, specs))
         for eid, per in fresh.items():
             for old_eid in self.copies.get(eid, {}).values():
-                if dag.alive[old_eid]:
-                    dag.delete_edge(old_eid)
+                dag.delete_edge(old_eid)
             self.copies[eid] = per
         # skips may have grown for every edge touching the old cluster
         for eid in touched:
@@ -375,12 +368,8 @@ class RestrictedSssp:
         self._resolve_pending()
 
     def _cheapest_copy(self, u: int, v: int) -> int:
-        bundle = self.pair_geids.get((u, v), [])
-        while bundle and not self.graph.g.alive[bundle[-1]]:
-            bundle.pop()
-        if not bundle:
-            raise AssertionError(f"no alive copy for pair ({u},{v})")
-        return bundle[-1]
+        eid = self.pair_eid[(u, v)]
+        return eid * self.levels + self.length[eid].bit_length() - 1
 
     def query(self):
         """Simple s-t path as (vertices, edge ids) with total length <= 8*lam,
@@ -404,13 +393,13 @@ class RestrictedSssp:
                 continue  # a cluster was dissolved; re-query the contracted graph
             self.queries_done += 1
             self.stats["queries"] += 1
-            verts, eids = result
-            total = sum(self.graph.g.length[e] for e in eids)
+            verts, copies = result
+            total = sum(1 << (c % self.levels) for c in copies)
             if total > 8 * self.lam:
                 raise AssertionError(f"assembled path length {total} > 8*lambda")
             if total > 2 * self.lam:
                 self.stats["over_2lam"] += 1
-            self.last_path = set(eids)
+            self.last_path = set(copies)
             return result
         raise ClusterContractError("query retries exhausted")
 
@@ -469,33 +458,29 @@ class RestrictedSssp:
 
     # --------------------------------------------------------------- deletion
 
-    def delete_path_edges(self, eids: list[int]) -> None:
-        bad = [e for e in eids if e not in self.last_path]
+    def delete_path_edges(self, copy_ids: list[int]) -> None:
+        bad = [c for c in copy_ids if c not in self.last_path]
         if bad:
             raise ValueError(f"edges {bad} were not on the last returned path")
         g = self.graph.g
         per_cluster: dict[int, list[int]] = {}
-        for eid in eids:
+        for c in copy_ids:
+            eid = c // self.levels
             u, v = g.tail[eid], g.head[eid]
-            g.delete_edge(eid)
-            for deid in list(self.copies.get(eid, {}).values()):
-                if self.dag is not None and self.dag.alive[deid]:
-                    self.dag.delete_edge(deid)
-            self.copies.pop(eid, None)
-            if g.length[eid] < self.long_threshold:
-                self.short_mult[(u, v)] -= 1
-                if self.short_mult[(u, v)] == 0:
-                    del self.short_mult[(u, v)]
-                    self.out_pairs[u].discard(v)
-                    cu, cv = self.cluster_of[u], self.cluster_of[v]
-                    if cu == cv:
-                        rec = self.clusters[cu]
-                        if rec.state is not None:
-                            le = rec.state.core.pair_to_eid[
-                                (rec.global2local[u], rec.global2local[v])
-                            ]
-                            per_cluster.setdefault(cu, []).append(le)
-        self.last_path -= set(eids)
+            self.length[eid] *= 2
+            for deid in self.copies.get(eid, {}).values():
+                self.dag.increase_length(deid, self.length[eid])
+            if self.length[eid] // 2 < self.long_threshold <= self.length[eid]:
+                self.out_pairs[u].discard(v)
+                cu, cv = self.cluster_of[u], self.cluster_of[v]
+                if cu == cv:
+                    rec = self.clusters[cu]
+                    if rec.state is not None:
+                        le = rec.state.core.pair_to_eid[
+                            (rec.global2local[u], rec.global2local[v])
+                        ]
+                        per_cluster.setdefault(cu, []).append(le)
+        self.last_path -= set(copy_ids)
         for cid in sorted(per_cluster):
             rec = self.clusters[cid]
             if rec.state is None:
@@ -537,8 +522,7 @@ class RestrictedSssp:
             raise AssertionError("sink interval is not {n-1}")
         # skip monotone, span monotone for right-to-left edges
         g = self.graph.g
-        for eid in g.live_edges():
-            u, v = g.tail[eid], g.head[eid]
+        for eid, (u, v) in enumerate(zip(g.tail, g.head)):
             if self.cluster_of[u] == self.cluster_of[v]:
                 continue
             sk = self._skip(u, v)
@@ -555,18 +539,14 @@ class RestrictedSssp:
 
 
 class ReferenceSssp:
-    """Plain decremental shortest path over the implicit doubling graph of a
-    residual graph, failing exactly when dist(s,t) > 8*lambda.  Meets the
-    restricted-SSSP contract exactly.
+    """Plain decremental shortest path, failing exactly when dist(s,t) >
+    8*lambda.  Meets the restricted-SSSP contract exactly.
 
-    Residual edge eid stands for copies of length 2^j, j < levels, with ids
-    eid*levels + j, the numbering build_doubling_graph gives; only the
-    cheapest live copy can lie on a shortest path, so the backend keeps one
-    Even-Shiloach tree rooted at s, depth bound 8*lambda, over the residual
-    edges, each at its cheapest copy's length.  Deleting that copy doubles
-    the edge's length in the tree.  Equal-length copies compare as their
-    edges do, so the tree's smallest-id parents give the same (verts, copy
-    ids) as a Dijkstra over every copy that keeps the least (dist, copy id).
+    One Even-Shiloach tree rooted at s, depth bound 8*lambda, holds the
+    residual edges, each at its cheapest copy's length.  Equal-length copies
+    compare as their edges do, so the tree's smallest-id parents give the
+    same (verts, copy ids) as a Dijkstra over every copy that keeps the
+    least (dist, copy id).
 
     The backend reads the graph once, so it must have no deleted edges then
     and stay as it is: a query raises ValueError if edges were added or

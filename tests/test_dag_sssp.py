@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipmatch.constants import log2c
 from bipmatch.dag_sssp import DagSssp, INF
@@ -265,3 +267,64 @@ def test_query_length_bound():
             total = dag.path_length(p)
             assert total * 20 <= (20 + 10) * d  # (1+10*eps) with eps=1/20
             dag.delete_edge(eid)
+
+
+def test_lengthened_tree_edge_reattaches_through_another_in_edge():
+    dag = make_dag(4)
+    e_direct = dag.add_edge(0, 2, 1, 1)
+    e_in = dag.add_edge(0, 3, 1, 1)
+    e_detour = dag.add_edge(3, 2, 1, 1)
+    e_out = dag.add_edge(2, 1, 1, 1)
+    dag.finalize()
+    assert dag.parent_edge[2] == e_direct
+    dag.increase_length(e_direct, 8)
+    assert dag.length[e_direct] == 8
+    assert dag.parent_edge[2] == e_detour
+    assert dag.est[2] == dag.stale[e_detour] + dag.lprime[e_detour]
+    assert dag.path_query() == [e_in, e_detour, e_out]
+    with pytest.raises(ValueError):
+        dag.increase_length(e_direct, 4)  # lengths never shrink
+
+
+COPIES = 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_increase_length_matches_deleting_the_cheapest_copy(data):
+    # oracle: every (pair, class) holds parallel copies of lengths base*2^j,
+    # and using it deletes the cheapest; the structure under test holds one
+    # edge per (pair, class) and doubles its length instead
+    n = data.draw(st.integers(3, 8))
+    d = data.draw(st.sampled_from([6, 30, 900]))  # 900 rounds lengths (c1 > 1)
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and v != 0 and u != 1]
+    pairs = data.draw(st.lists(st.sampled_from(arcs), min_size=1, max_size=3 * n,
+                               unique=True))
+    copies, single = make_dag(n, d=d), make_dag(n, d=d)
+    copy_ids, key_of = [], {}  # oracle ids per (pair, class), and back
+    for u, v in pairs:
+        base = data.draw(st.integers(1, 3))
+        for cls in data.draw(st.sets(st.integers(0, 2), min_size=1)):
+            eid = dag_add_edge_p1(single, u, v, base, 1 << cls)
+            if eid is None:
+                continue
+            ids = [copies.add_edge(u, v, base << j, 1 << cls) for j in range(COPIES)]
+            key_of.update({c: eid for c in ids})
+            copy_ids.append((eid, ids))
+    copies.finalize()
+    single.finalize()
+
+    def same_state():
+        assert copies.est == single.est
+        assert [None if p is None else key_of[p] for p in copies.parent_edge] == \
+            single.parent_edge
+
+    same_state()
+    for _ in range(data.draw(st.integers(0, 12))):
+        live = [(eid, ids) for eid, ids in copy_ids if len(ids) > 1]
+        if not live:
+            break
+        eid, ids = data.draw(st.sampled_from(live))
+        copies.delete_edge(ids.pop(0))
+        single.increase_length(eid, 2 * single.length[eid])
+        same_state()

@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import bipmatch
 from bipmatch.constants import doubling_levels, log2c
 from bipmatch.graph_core import BipartiteGraph, Matching, residual_graph
 from bipmatch.mwu import build_doubling_graph, mwu_run, mwu_yield_floor
@@ -87,6 +90,31 @@ def test_full_backend_matches_reference_congestion(cnst):
     res_ref = mwu_run(h2, delta=delta, backend="reference", cnst=cnst)
     assert res_ref.max_usage() <= log2c(m)
     assert len(res_ref.paths) >= mwu_yield_floor(delta, m)
+
+
+def test_full_backend_leaves_the_residual_graph_intact(cnst):
+    # the driver rounds over h after mwu_run, and falls back on it when the
+    # backend breaks its contract
+    k = 48
+    h = disjoint_paths_residual(k)
+    result = mwu_run(h, delta=k, backend="full", cnst=cnst)
+    assert result.paths
+    assert h.g.live_m == len(h.g.tail)
+    assert all(ln == 1 for ln in h.g.length)
+
+
+def test_no_library_module_builds_a_doubling_graph():
+    # both backends keep the copies implicit; the materialised doubling
+    # graph is an oracle for tests only
+    calls = []
+    for path in sorted(Path(bipmatch.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "build_doubling_graph":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, "doubling graph built in " + ", ".join(calls)
 
 
 def test_yield_floor_on_random_instances(cnst):

@@ -38,10 +38,11 @@ def near_complete_residual(rng, nl, nr, p, leave=2):
 def drain(sssp, h):
     """Query and delete until FAIL or the budget, checking each path in h.
 
-    The full backend runs on h itself, so its ids are h's edges.  The
-    reference backend's copy ids are eid*levels + j, the copy of h's edge
-    eid with length 2^j."""
-    levels = sssp.levels if isinstance(sssp, ReferenceSssp) else 1
+    Both backends return copy ids eid*levels + j, the copy of h's edge eid
+    with length 2^j.  It is the cheapest live copy: j is log2 of eid's
+    initial length plus the times eid was used before."""
+    levels = sssp.levels
+    uses = {}
     paths = []
     while sssp.queries_done < sssp.delta:
         res = sssp.query()
@@ -52,11 +53,11 @@ def drain(sssp, h):
         assert len(set(verts)) == len(verts)
         edges = [divmod(c, levels) for c in eids]
         assert [(h.g.tail[e], h.g.head[e]) for e, _ in edges] == list(zip(verts, verts[1:]))
-        if levels == 1:
-            total = sum(h.g.length[e] for e in eids)
-        else:
-            total = sum(1 << j for _, j in edges)
-        assert total <= 8 * sssp.lam
+        for e, j in edges:
+            assert j == h.g.length[e].bit_length() - 1 + uses.get(e, 0)
+            assert j < levels
+            uses[e] = uses.get(e, 0) + 1
+        assert sum(1 << j for _, j in edges) <= 8 * sssp.lam
         paths.append((verts, eids))
         sssp.delete_path_edges(eids)
     return paths
@@ -95,22 +96,13 @@ def test_left_to_right_edges_have_zero_span():
             assert rs._span(u, v) == 0
 
 
-def test_returned_edges_are_cheapest_parallels():
-    rng = random.Random(2)
-    g = BipartiteGraph(6, 6, tuple((i, i) for i in range(6)))
-    h = residual_graph(g, Matching())
-    # add pricier parallel copies of every edge
-    for eid in list(h.g.live_edges()):
-        h.add_edge(h.g.tail[eid], h.g.head[eid], length=2,
-                   special=h.special[eid])
-    rs = RestrictedSssp(h, delta=6, m_param=h.g.live_m, checked=True)
-    res = rs.query()
-    assert res is not None
-    verts, eids = res
-    for eid in eids:
-        pair = (h.g.tail[eid], h.g.head[eid])
-        best = min(h.g.length[e] for e in rs.pair_geids[pair] if h.g.alive[e])
-        assert h.g.length[eid] == best
+def test_parallel_edges_are_rejected():
+    # copies are implicit, so a pair names one residual edge; residual
+    # graphs are simple
+    h = disjoint_paths_residual(6)
+    h.add_edge(h.g.tail[0], h.g.head[0], length=2)
+    with pytest.raises(ValueError, match="parallel edges 0 and"):
+        RestrictedSssp(h, delta=6, m_param=h.g.live_m)
 
 
 def test_interval_bookkeeping_and_p1_after_lifecycle():
@@ -173,15 +165,14 @@ def test_cluster_without_short_pair_inside_is_shattered():
     h = residual_graph(g, Matching([q for q in ordered if q not in dropped]))
     m = h.g.live_m
     lam = mwu_lambda(m, 2)
-    hat = build_doubling_graph(h, lam)
-    rs = RestrictedSssp(hat, delta=2, m_param=m, lam=lam, checked=True)
-    assert not rs._is_leaf(hat.n - 2)
+    rs = RestrictedSssp(h, delta=2, m_param=m, lam=lam, checked=True)
+    assert not rs._is_leaf(h.n - 2)
     assert not any(rs.out_pairs)
     assert rs.stats["clusters_spawned"] == 0
     assert rs.stats["cuts"] == 0
     assert rs.stats["shatters"] == 1
     assert all(rec.state is None for rec in rs.clusters.values())
-    assert len(drain(rs, hat)) == 2
+    assert len(drain(rs, h)) == 2
     rs.check_invariants()
 
 
@@ -248,7 +239,7 @@ def test_delete_requires_membership_in_last_path():
     rs = RestrictedSssp(h, delta=4, m_param=h.g.live_m)
     res = rs.query()
     assert res is not None
-    outside = [e for e in h.g.live_edges() if e not in set(res[1])]
+    outside = [e * rs.levels for e in h.g.live_edges() if e * rs.levels not in res[1]]
     with pytest.raises(ValueError):
         rs.delete_path_edges([outside[0]])
 
