@@ -76,7 +76,7 @@ class Constants:
     # Restricted SSSP / MWU driver.
     gamma_coeff: float = 8.0      # Gamma = gamma_coeff*(n^2/(d*Delta) + n*d)
     mwu_gate_coeff: float = 4.0   # MWU phase requires Delta >= gate*log2(m)
-    mwu_min_edges: int = 64       # below this many residual edges, go straight to exact phase
+    mwu_min_edges: int = 64       # fewer residual edges: skip MWU, go to the finishing flow
 
     def __post_init__(self) -> None:
         for f in fields(self):

@@ -1,10 +1,10 @@
 """Top-level matching algorithm: MWU phases with a deficiency cutoff,
-deterministic rounding of congested path collections, and an exact finishing
-phase of single augmenting paths.
+deterministic rounding of congested path collections, and one finishing
+maximum flow over the residual graph.
 
 The binary search over the optimum is replaced by running to exhaustion: the
-exact final phase terminates at the true maximum regardless of how productive
-the MWU phases were, so the result is always optimal.  A ``target`` mode
+finishing flow reaches the true maximum regardless of how productive the MWU
+phases were, so the result is always optimal.  A ``target`` mode
 implements the guessed-optimum contract for benchmark parity.
 """
 
@@ -15,9 +15,8 @@ import time
 from dataclasses import dataclass, field
 
 from .constants import Constants
-from .graph_core import (BipartiteGraph, Matching, ResidualView, S_ID, T_ID,
-                         WellStructuredGraph, augment, bfs_tree, residual_graph,
-                         tree_path)
+from .graph_core import (BipartiteGraph, Matching, S_ID, T_ID, WellStructuredGraph,
+                         augment, bfs_tree, residual_graph, tree_path)
 from .maintain_cluster import ClusterContractError
 from .mwu import MwuResult, mwu_run
 
@@ -60,8 +59,12 @@ def _delta_star(n: int, m: int) -> int:
     return max(1, round(n ** (5 / 3) / m ** (2 / 3)))
 
 
-def find_augmenting_path(h: WellStructuredGraph | ResidualView) -> list[int] | None:
-    """BFS for any s-t path in the residual graph; returns the vertex sequence."""
+def find_augmenting_path(h: WellStructuredGraph) -> list[int] | None:
+    """BFS for any s-t path in the residual graph; returns the vertex sequence.
+
+    max_matching does not use it; its one caller is the warm-repair tail of
+    the benchmark harness (perfbench/run.py).
+    """
     parent = bfs_tree(S_ID, h, target=T_ID)
     return tree_path(parent, T_ID)[0] if T_ID in parent else None
 
@@ -69,10 +72,13 @@ def find_augmenting_path(h: WellStructuredGraph | ResidualView) -> list[int] | N
 def disjoint_paths(h: WellStructuredGraph, eids) -> list[list[int]]:
     """A maximum set of edge-disjoint s-t paths over the edges eids of h.
 
-    Edmonds-Karp over unit capacities, then a decomposition of the flow that
-    follows each vertex's flow edges in id order.  In a residual graph every
-    L vertex has one in-edge and every R vertex one out-edge, so the paths
-    are internally vertex-disjoint as well.
+    It serves both the rounding of an MWU path collection (eids: the
+    collection's support) and max_matching's finishing flow (eids: every
+    live edge of h).  Edmonds-Karp over unit capacities, then a
+    decomposition of the flow that follows each vertex's flow edges in id
+    order.  In a residual graph every L vertex has one in-edge and every R
+    vertex one out-edge, so the paths are internally vertex-disjoint as
+    well.
 
     Each BFS tries, from a vertex u, its flow-free offered out-edges forward
     in id order, then its flow-carrying offered in-edges backward in id
@@ -209,8 +215,8 @@ def max_matching(g: BipartiteGraph, cfg: DriverConfig | None = None
             result = mwu_run(h, delta_hat, backend=cfg.backend, cnst=cnst,
                              checked=cfg.checked)
         except ClusterContractError:
-            # the backend broke its contract; h is intact (neither backend
-            # writes to it), so the phase falls back
+            # the backend broke its contract: the phase collects no path and
+            # falls back to the finishing flow
             report.backend_failures += 1
             result = MwuResult([], [], {}, lam=0, m=m)
         report.max_congestion = max(report.max_congestion, result.max_usage())
@@ -218,31 +224,26 @@ def max_matching(g: BipartiteGraph, cfg: DriverConfig | None = None
             if isinstance(val, int):
                 report.backend_stats[key] = report.backend_stats.get(key, 0) + val
         disjoint = round_to_disjoint(h, result.paths)
-        fallback = False
-        if not disjoint:
-            fallback = True
+        if disjoint:
+            matching = augment(g, matching, disjoint)
+        else:
             report.fallback_phases += 1
-            disjoint = disjoint_paths(h, h.g.live_edges())
-            if not disjoint:
-                break  # matching is maximum; exact phase will confirm
-        matching = augment(g, matching, disjoint)
         report.phases.append(PhaseRecord(
             delta=delta_hat,
             collected=len(result.paths),
             rounded=len(disjoint),
-            fallback=fallback,
+            fallback=not disjoint,
             millis=(time.perf_counter() - t0) * 1e3,
         ))
+        if not disjoint:
+            break  # the finishing flow below finds this phase's paths
 
-    # exact finishing phase
-    view = ResidualView(g, matching)
-    while len(matching) < cap:
-        path = find_augmenting_path(view)
-        if path is None:
-            break
-        matching = augment(g, matching, [path])
-        view.m_set = matching
-        report.exact_augmentations += 1
+    # finishing step: one maximum flow over every live residual edge
+    if len(matching) < cap:
+        h = residual_graph(g, matching)
+        paths = disjoint_paths(h, h.g.live_edges())[:cap - len(matching)]
+        matching = augment(g, matching, paths)
+        report.exact_augmentations += len(paths)
 
     report.matching_size = len(matching)
     return matching, report

@@ -151,10 +151,8 @@ def expander_pairs(n: int, cnst: Constants | None = None) -> list[tuple[int, int
 
 def construct_expander(n: int, cnst: Constants | None = None) -> DirectedGraph:
     """The expander of expander_pairs as a graph; edge ids follow the sorted pairs."""
-    g = DirectedGraph(n)
-    for u, v in expander_pairs(n, cnst):
-        g.add_edge(u, v)
-    return g
+    pairs = expander_pairs(n, cnst)
+    return DirectedGraph(n, [u for u, _ in pairs], [v for _, v in pairs])
 
 
 # -------------------------------------------------------------- ball growing

@@ -97,22 +97,32 @@ class DirectedGraph:
     adjacency lists are only ever appended to, so out_adj[u], in_adj[v] and
     every live-edge iterator run in increasing id order.  g[u] lists the live
     out-arcs (edge id, head) of u, the adjacency bfs_tree reads.
+
+    DirectedGraph(n, tail, head) starts with the arcs tail[i] -> head[i] as
+    edges 0, 1, ..., all live at length 1, as if added one by one.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, tail=(), head=()):
+        if len(tail) != len(head):
+            raise ValueError(f"{len(tail)} tails for {len(head)} heads")
         self.n = n
         self.vertex_alive = [True] * n
         self.live_n = n
-        self.tail: list[int] = []
-        self.head: list[int] = []
-        self.length: list[int] = []
-        self.weight: list[int | None] = []
-        self.alive: list[bool] = []
+        self.tail: list[int] = list(tail)
+        self.head: list[int] = list(head)
+        m = len(self.tail)
+        self.length: list[int] = [1] * m
+        self.weight: list[int | None] = [None] * m
+        self.alive: list[bool] = [True] * m
         self.out_adj: list[list[int]] = [[] for _ in range(n)]
         self.in_adj: list[list[int]] = [[] for _ in range(n)]
-        self.live_out: list[int] = [0] * n
-        self.live_in: list[int] = [0] * n
-        self.live_m = 0
+        for eid, u in enumerate(self.tail):
+            self.out_adj[u].append(eid)
+        for eid, v in enumerate(self.head):
+            self.in_adj[v].append(eid)
+        self.live_out: list[int] = [len(a) for a in self.out_adj]
+        self.live_in: list[int] = [len(a) for a in self.in_adj]
+        self.live_m = m
 
     def add_vertex(self) -> int:
         self.out_adj.append([])
@@ -182,12 +192,15 @@ class DirectedGraph:
 class WellStructuredGraph:
     """Residual graph with source/sink, L/R bipartition and special-edge tags."""
 
-    def __init__(self, n_core_left: int, n_core_right: int, size_m: int):
-        self.g = DirectedGraph(2 + n_core_left + n_core_right)
+    def __init__(self, n_core_left: int, n_core_right: int, size_m: int,
+                 tail=(), head=(), special=()):
+        self.g = DirectedGraph(2 + n_core_left + n_core_right, tail, head)
         self.n_left = n_core_left
         self.n_right = n_core_right
         self.size_m = max(2, size_m)
-        self.special: list[bool] = []
+        self.special: list[bool] = list(special)
+        if len(self.special) != len(self.g.tail):
+            raise ValueError(f"{len(self.special)} special tags for {len(self.g.tail)} edges")
 
     @property
     def n(self) -> int:
@@ -232,52 +245,31 @@ def residual_graph(g: BipartiteGraph, m_set: Matching) -> WellStructuredGraph:
     and out of the sink are never materialized.
     """
     m_set.validate(g)
-    n_edges_estimate = len(g.edges) + g.n_left + g.n_right
-    h = WellStructuredGraph(g.n_left, g.n_right, max(2, n_edges_estimate))
-    for u in range(g.n_left):
+    n_left = g.n_left
+    tail: list[int] = []
+    head: list[int] = []
+    special: list[bool] = []
+    for u in range(n_left):
         if m_set.right_of(u) is None:
-            h.add_edge(S_ID, left_id(g, u))
+            tail.append(S_ID)
+            head.append(2 + u)
+            special.append(False)
+    pairs = m_set.pairs
     for u, v in sorted(g.edges):
-        if (u, v) in m_set:
-            h.add_edge(right_id(g, v), left_id(g, u), special=True)
+        if (u, v) in pairs:
+            tail.append(2 + n_left + v)
+            head.append(2 + u)
+            special.append(True)
         else:
-            h.add_edge(left_id(g, u), right_id(g, v))
+            tail.append(2 + u)
+            head.append(2 + n_left + v)
+            special.append(False)
     for v in range(g.n_right):
         if m_set.left_of(v) is None:
-            h.add_edge(right_id(g, v), T_ID)
-    h.size_m = max(2, h.g.live_m)
-    return h
-
-
-class ResidualView:
-    """adj[u] of residual_graph(g, m_set), read from g and m_set instead of
-    built: the same heads in the same order, so bfs_tree grows the same tree.
-
-    s lists the free left vertices, a left vertex its neighbours minus its
-    mate, a right vertex its mate or else t.  Arcs carry no edge id (None).
-    Assign the augmented matching to m_set to follow it.
-    """
-
-    def __init__(self, g: BipartiteGraph, m_set: Matching):
-        self.g = g
-        self.m_set = m_set
-        self.arcs: list[list[tuple[None, int]]] = [[] for _ in range(g.n_left)]
-        for u, v in sorted(g.edges):
-            self.arcs[u].append((None, right_id(g, v)))
-
-    def __getitem__(self, a: int) -> list[tuple[None, int]]:
-        g, m_set = self.g, self.m_set
-        if a == S_ID:
-            return [(None, left_id(g, u)) for u in range(g.n_left)
-                    if m_set.right_of(u) is None]
-        if a == T_ID:
-            return []
-        if a < 2 + g.n_left:
-            mate = m_set.right_of(a - 2)
-            skip = None if mate is None else right_id(g, mate)
-            return [arc for arc in self.arcs[a - 2] if arc[1] != skip]
-        u = m_set.left_of(a - 2 - g.n_left)
-        return [(None, T_ID if u is None else left_id(g, u))]
+            tail.append(2 + n_left + v)
+            head.append(T_ID)
+            special.append(False)
+    return WellStructuredGraph(n_left, g.n_right, len(tail), tail, head, special)
 
 
 def validate_well_structured(h: WellStructuredGraph) -> list[str]:

@@ -195,7 +195,7 @@ def test_disjoint_paths_matches_the_bfs_tree_oracle(data):
         # in first-use order, with the edges the paths share
         walks = [random_st_path(rng, h.g) for _ in range(data.draw(st.integers(1, 8)))]
         offered = list(dict.fromkeys(e for w in walks if w for e in w))
-    if shape == "all":  # the fallback phase's generator
+    if shape == "all":  # the finishing flow's generator
         got = disjoint_paths(h, h.g.live_edges())
         want = bfs_tree_disjoint_paths(h, h.g.live_edges())
     else:
@@ -218,24 +218,27 @@ def test_disjoint_paths_tries_forward_arcs_before_backward_ones():
     assert disjoint_paths(h, h.g.live_edges()) == want
 
 
-def test_exact_phase_builds_no_residual_graph(monkeypatch):
+def test_exact_phase_builds_one_residual_graph(monkeypatch):
     # the reversed-label long path: every one of its 600 augmenting paths
-    # comes from the exact phase, which reads the residual adjacency
+    # comes from the finishing flow, over one residual graph and one augment
     k = 600
     edges = [(k - 1 - i, i) for i in range(k)] + [(k - 1 - i, i - 1) for i in range(1, k)]
     g = BipartiteGraph(k, k, tuple(edges))
-    builds = []
+    builds, augments = [], []
 
-    def counting_residual_graph(*args):
-        builds.append(args)
-        return residual_graph(*args)
+    def counting(calls, real):
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(driver, "residual_graph", counting_residual_graph)
+    monkeypatch.setattr(driver, "residual_graph", counting(builds, residual_graph))
+    monkeypatch.setattr(driver, "augment", counting(augments, augment))
     matching, rep = max_matching(g)
     assert len(matching) == k
     matching.validate(g)
     assert rep.exact_augmentations == k and rep.phases == []
-    assert builds == []
+    assert len(builds) == 1 and len(augments) == 1
 
 
 def test_backend_contract_failure_falls_back(monkeypatch):
@@ -277,6 +280,7 @@ def test_overestimated_delta_stays_exact():
     for backend in ("reference", "full"):
         got, rep = max_matching(g, DriverConfig(backend=backend, delta_star=1))
         assert len(got) == want == 2
+        assert rep.fallback_phases == sum(ph.fallback for ph in rep.phases)
 
 
 def test_report_counts_are_consistent():
@@ -290,6 +294,19 @@ def test_report_counts_are_consistent():
 
 LOW_GATE = DriverConfig(delta_star=1, constants=dataclasses.replace(
     Constants.desk(), mwu_gate_coeff=0.25, mwu_min_edges=1))
+
+
+def test_fallback_stops_at_the_target(monkeypatch):
+    def broken(self):
+        raise ClusterContractError("query retries exhausted")
+
+    monkeypatch.setattr(RestrictedSssp, "query", broken)
+    g = generate("random-gnp", {"n": 60, "p": 0.1}, 2)
+    cfg = dataclasses.replace(LOW_GATE, backend="full", target=10)
+    m, rep = max_matching(g, cfg)
+    m.validate(g)
+    assert len(m) == rep.matching_size == 10
+    assert rep.fallback_phases == 1 and rep.phases[0].fallback
 
 
 @settings(max_examples=200, deadline=None)

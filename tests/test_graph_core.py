@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipmatch.graph_core import (BipartiteGraph, DirectedGraph, Matching, ResidualView,
+from bipmatch.graph_core import (BipartiteGraph, DirectedGraph, Matching,
                                  S_ID, T_ID, augment, bfs_tree, dijkstra_tree, left_id,
                                  parse_graph_text, residual_graph, right_id,
                                  shortcut_to_simple, tree_path, validate_well_structured,
@@ -156,27 +156,6 @@ def test_augment_accepts_exactly_the_residual_paths(data):
             augment(g, m, [path])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_residual_view_lists_the_residual_heads_in_order(data):
-    nl, nr = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
-    pairs = [(u, v) for u in range(nl) for v in range(nr)]
-    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs
-                      else st.just([]))
-    g = BipartiteGraph(nl, nr, tuple(edges))
-    matched, used_l, used_r = [], set(), set()
-    greedy = data.draw(st.booleans())  # a maximal matching, often perfect
-    for u, v in data.draw(st.permutations(edges)):
-        if u not in used_l and v not in used_r and (greedy or data.draw(st.booleans())):
-            matched.append((u, v))
-            used_l.add(u)
-            used_r.add(v)
-    m = Matching(matched)
-    h, view = residual_graph(g, m), ResidualView(g, m)
-    for u in range(h.n):
-        assert [v for _, v in view[u]] == [v for _, v in h.g[u]]
-
-
 def test_round_trip_augment_keeps_structure():
     rng = random.Random(5)
     for _ in range(25):
@@ -269,6 +248,19 @@ def test_adjacency_lists_stay_in_id_order():
             assert g.in_adj[v] == sorted(g.in_adj[v])
             assert g[v] == [(e, g.head[e]) for e in g.out_live(v)]
     assert g.live_n < g.n and g.live_m < len(g.tail)  # both deletions ran
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bulk_built_graph_equals_one_edge_at_a_time(data):
+    n = data.draw(st.integers(1, 8))
+    arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=30))
+    bulk = DirectedGraph(n, [u for u, _ in arcs], [v for _, v in arcs])
+    one_by_one = DirectedGraph(n)
+    for u, v in arcs:
+        one_by_one.add_edge(u, v)
+    assert vars(bulk) == vars(one_by_one)
 
 
 def test_bfs_tree_order_target_and_depth():
