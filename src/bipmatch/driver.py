@@ -2,6 +2,12 @@
 deterministic rounding of congested path collections, and one finishing
 maximum flow over the residual graph.
 
+Rounding and the finishing flow share one unit-capacity blocking-flow
+routine, disjoint_paths: Dinic's phases (one level BFS, then a current-arc
+DFS that augments along every shortest path), which over all edges of a
+residual graph are Hopcroft-Karp's O(sqrt n) phases.  Its arc order makes
+it return exactly the paths of one Edmonds-Karp BFS per path.
+
 The binary search over the optimum is replaced by running to exhaustion: the
 finishing flow reaches the true maximum regardless of how productive the MWU
 phases were, so the result is always optimal.  A ``target`` mode
@@ -69,20 +75,62 @@ def find_augmenting_path(h: WellStructuredGraph) -> list[int] | None:
     return tree_path(parent, T_ID)[0] if T_ID in parent else None
 
 
+def phase_levels(out_of, in_of, flow, tail, head) -> list[int] | None:
+    """BFS levels of one blocking-flow phase, or None if t is unreachable.
+
+    The residual arcs of the unit flow over the offered edges (out_of[u] and
+    in_of[u]: u's offered out- and in-edges in id order) are the flow-free
+    out-edges forward and the flow-carrying in-edges backward.  level[v] is
+    the distance from s to v over them, -1 if v was not reached.  The search
+    stops at t, when every vertex nearer than t has its level.
+    """
+    level = [-1] * len(out_of)
+    level[S_ID] = 0
+    queue = [S_ID]
+    for u in queue:  # grows while it is read: a FIFO queue
+        lv = level[u] + 1
+        for e in out_of[u]:
+            if flow[e] == 0:
+                v = head[e]
+                if level[v] < 0:
+                    level[v] = lv
+                    if v == T_ID:
+                        return level
+                    queue.append(v)
+        for e in in_of[u]:
+            if flow[e] == 1:
+                v = tail[e]
+                if level[v] < 0:
+                    level[v] = lv
+                    if v == T_ID:
+                        return level
+                    queue.append(v)
+    return None
+
+
 def disjoint_paths(h: WellStructuredGraph, eids) -> list[list[int]]:
     """A maximum set of edge-disjoint s-t paths over the edges eids of h.
 
     It serves both the rounding of an MWU path collection (eids: the
     collection's support) and max_matching's finishing flow (eids: every
-    live edge of h).  Edmonds-Karp over unit capacities, then a
-    decomposition of the flow that follows each vertex's flow edges in id
-    order.  In a residual graph every L vertex has one in-edge and every R
-    vertex one out-edge, so the paths are internally vertex-disjoint as
-    well.
+    live edge of h).  Dinic's blocking flow over unit capacities: each phase
+    levels the residual arcs with one BFS (phase_levels), then a depth-first
+    search with a current-arc pointer per vertex augments along shortest
+    s-t paths until none is left.  Over every live edge of a residual graph
+    these are Hopcroft-Karp's O(sqrt n) phases.  The flow is then decomposed
+    by following each vertex's flow edges in id order.  In a residual graph
+    every L vertex has one in-edge and every R vertex one out-edge, so the
+    paths are internally vertex-disjoint as well.
 
-    Each BFS tries, from a vertex u, its flow-free offered out-edges forward
+    From a vertex u the search tries its flow-free offered out-edges forward
     in id order, then its flow-carrying offered in-edges backward in id
-    order.  The offered edges are indexed per vertex once per call, so a BFS
+    order.  So it finds the lexicographically smallest shortest s-t path,
+    which is the path an Edmonds-Karp FIFO BFS trying the arcs in the same
+    order would take.  An augmentation along a shortest path keeps the order
+    of the other arcs and adds only arcs that go back a level, so each later
+    path of the phase is again the smallest shortest one.  The augmenting
+    paths, the flow and its decomposition are therefore Edmonds-Karp's.
+    The offered edges are indexed per vertex once per call, so a phase
     costs O(offered edges), not O(edges of h).
     """
     g = h.g
@@ -99,54 +147,70 @@ def disjoint_paths(h: WellStructuredGraph, eids) -> list[list[int]]:
     for eid in offered:
         out_of[tail[eid]].append(eid)
         in_of[head[eid]].append(eid)
-    seen = [0] * g.n   # number of the last BFS that reached v
-    par_e = [0] * g.n  # the edge by which that BFS reached v
 
-    def reaches_sink(stamp: int) -> bool:
-        seen[S_ID] = stamp
-        queue = [S_ID]
-        for u in queue:  # grows while it is read: a FIFO queue
-            for e in out_of[u]:
-                if flow[e] == 0:
+    while True:
+        level = phase_levels(out_of, in_of, flow, tail, head)
+        if level is None:
+            break
+        # ptr[u]: u's current arc, an index into out_of[u] + in_of[u]; no
+        # arc before it starts a shortest path to t in this phase any more
+        ptr = [0] * g.n
+        stack, arcs = [S_ID], []  # the search path and its edges
+        augmented = False
+        while stack:
+            u = stack[-1]
+            if u == T_ID:
+                for e in arcs:
+                    flow[e] ^= 1
+                stack, arcs = [S_ID], []
+                augmented = True
+                continue
+            outs, ins = out_of[u], in_of[u]
+            lv = level[u] + 1
+            i, n_out, v = ptr[u], len(outs), -1
+            while i < n_out:
+                e = outs[i]
+                if flow[e] == 0 and level[head[e]] == lv:
                     v = head[e]
-                    if seen[v] != stamp:
-                        seen[v] = stamp
-                        par_e[v] = e
-                        if v == T_ID:
-                            return True
-                        queue.append(v)
-            for e in in_of[u]:
-                if flow[e] == 1:
-                    v = tail[e]
-                    if seen[v] != stamp:
-                        seen[v] = stamp
-                        par_e[v] = e
-                        if v == T_ID:
-                            return True
-                        queue.append(v)
-        return False
+                    break
+                i += 1
+            else:
+                n_arcs = n_out + len(ins)
+                while i < n_arcs:
+                    e = ins[i - n_out]
+                    if flow[e] == 1 and level[tail[e]] == lv:
+                        v = tail[e]
+                        break
+                    i += 1
+            ptr[u] = i
+            if v >= 0:
+                stack.append(v)
+                arcs.append(e)
+            else:  # a dead end: back out, and the arc that led here is spent
+                stack.pop()
+                if stack:
+                    arcs.pop()
+                    ptr[stack[-1]] += 1
+        if not augmented:
+            raise AssertionError("a blocking-flow phase reached t but found no path")
 
-    stamp = 1
-    while reaches_sink(stamp):
-        v = T_ID
-        while v != S_ID:
-            e = par_e[v]
-            v = tail[e] if flow[e] == 0 else head[e]
-            flow[e] ^= 1
-        stamp += 1
-
-    remaining: dict[int, list[int]] = {}
-    for eid, f in enumerate(flow):
-        if f == 1:
-            remaining.setdefault(g.tail[eid], []).append(eid)
+    # the decomposition: each walk leaves a vertex by its next flow edge in
+    # id order; nxt[u] indexes out_of[u]
+    nxt = [0] * g.n
     paths: list[list[int]] = []
-    while remaining.get(S_ID):
+    for e in out_of[S_ID]:
+        if flow[e] != 1:
+            continue
         verts = [S_ID]
-        while verts[-1] != T_ID:
-            eid = remaining[verts[-1]].pop(0)
-            if not remaining[verts[-1]]:
-                del remaining[verts[-1]]
-            verts.append(g.head[eid])
+        u = head[e]
+        while u != T_ID:
+            verts.append(u)
+            outs, i = out_of[u], nxt[u]
+            while flow[outs[i]] != 1:
+                i += 1
+            nxt[u] = i + 1
+            u = head[outs[i]]
+        verts.append(T_ID)
         paths.append(verts)
     return paths
 

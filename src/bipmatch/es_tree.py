@@ -33,12 +33,11 @@ class EsTree(DirectedGraph):
 
     def __init__(self, n: int, edges: list[tuple[int, int, int]], root: int, depth: int):
         """edges: (tail, head, length) triples; edge ids are list positions."""
-        for _, _, ln in edges:
+        tail, head, length = zip(*edges) if edges else ((), (), ())
+        for ln in length:
             if ln < 1 or ln != int(ln):
                 raise ValueError("edge lengths must be integers >= 1")
-        super().__init__(n)
-        for u, v, ln in edges:
-            self.add_edge(u, v, ln)
+        super().__init__(n, tail, head, length)
         self.root = root
         self.depth = depth
         self.level, self.parent_edge, self.scan_steps = dijkstra_tree(self, root, self.length,

@@ -98,11 +98,12 @@ class DirectedGraph:
     every live-edge iterator run in increasing id order.  g[u] lists the live
     out-arcs (edge id, head) of u, the adjacency bfs_tree reads.
 
-    DirectedGraph(n, tail, head) starts with the arcs tail[i] -> head[i] as
-    edges 0, 1, ..., all live at length 1, as if added one by one.
+    DirectedGraph(n, tail, head, length) starts with the arcs tail[i] ->
+    head[i] of length length[i] (default 1) as edges 0, 1, ..., all live, as
+    if added one by one.
     """
 
-    def __init__(self, n: int, tail=(), head=()):
+    def __init__(self, n: int, tail=(), head=(), length=None):
         if len(tail) != len(head):
             raise ValueError(f"{len(tail)} tails for {len(head)} heads")
         self.n = n
@@ -111,7 +112,14 @@ class DirectedGraph:
         self.tail: list[int] = list(tail)
         self.head: list[int] = list(head)
         m = len(self.tail)
-        self.length: list[int] = [1] * m
+        if length is None:
+            self.length: list[int] = [1] * m
+        else:
+            self.length = list(length)
+            if len(self.length) != m:
+                raise ValueError(f"{len(self.length)} lengths for {m} edges")
+            if any(ln <= 0 for ln in self.length):
+                raise ValueError("edge lengths must be positive")
         self.weight: list[int | None] = [None] * m
         self.alive: list[bool] = [True] * m
         self.out_adj: list[list[int]] = [[] for _ in range(n)]

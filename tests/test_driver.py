@@ -218,6 +218,37 @@ def test_disjoint_paths_tries_forward_arcs_before_backward_ones():
     assert disjoint_paths(h, h.g.live_edges()) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_disjoint_paths_matches_the_oracle_when_a_phase_finds_many_paths(data):
+    # near-empty matchings on larger graphs: the first phase alone augments
+    # along many length-3 paths, and later phases along longer ones
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    nl, nr = data.draw(st.integers(13, 40)), data.draw(st.integers(13, 40))
+    g = random_bipartite(rng, nl, nr, data.draw(st.floats(0.03, 0.5)))
+    h = residual_graph(g, random_matching(rng, g, data.draw(st.floats(0.0, 0.1))))
+    offered = list(h.g.live_edges())
+    if data.draw(st.booleans()):
+        offered = [e for e in offered if rng.random() < 0.8]
+        rng.shuffle(offered)
+    assert disjoint_paths(h, offered) == bfs_tree_disjoint_paths(h, offered)
+
+
+def test_disjoint_paths_backs_out_of_a_dead_end():
+    # one phase, with levels s:0, a,b:1, x,y,z:2, t:3.  From a the search
+    # enters x first, whose one arc leads back to b, not on to t: it backs
+    # out, skips a's arc to x and takes y.  From b it then enters y, spent by
+    # the first path, backs out again and takes z.
+    s, t, a, b, x, y, z = S_ID, T_ID, 2, 3, 4, 5, 6
+    h = WellStructuredGraph(3, 2, size_m=10)
+    for u, v in [(s, a), (s, b), (a, x), (a, y), (a, z), (b, y), (b, z),
+                 (y, t), (z, t), (x, b)]:
+        h.add_edge(u, v)
+    want = [[s, a, y, t], [s, b, z, t]]
+    assert bfs_tree_disjoint_paths(h, h.g.live_edges()) == want
+    assert disjoint_paths(h, h.g.live_edges()) == want
+
+
 def test_exact_phase_builds_one_residual_graph(monkeypatch):
     # the reversed-label long path: every one of its 600 augmenting paths
     # comes from the finishing flow, over one residual graph and one augment
@@ -320,3 +351,21 @@ def test_paper_matches_hopcroft_karp_with_a_low_mwu_gate(data):
     for backend in ("reference", "full"):
         cfg = dataclasses.replace(LOW_GATE, backend=backend)
         assert len(max_matching(g, cfg)[0]) == want
+
+
+def test_finishing_flow_takes_o_sqrt_n_phases(monkeypatch):
+    # the 3000-pair reversed path: Edmonds-Karp would run one BFS per pair
+    k = 3000
+    edges = [(k - 1 - i, i) for i in range(k)] + [(k - 1 - i, i - 1) for i in range(1, k)]
+    g = BipartiteGraph(k, k, tuple(edges))
+    real, phases = driver.phase_levels, []
+
+    def counting(*args):
+        phases.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(driver, "phase_levels", counting)
+    matching, rep = max_matching(g)
+    assert len(matching) == k == rep.exact_augmentations
+    matching.validate(g)
+    assert len(phases) <= 2 * math.ceil(math.sqrt(g.n)) + 2

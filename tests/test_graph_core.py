@@ -254,13 +254,17 @@ def test_adjacency_lists_stay_in_id_order():
 @given(st.data())
 def test_bulk_built_graph_equals_one_edge_at_a_time(data):
     n = data.draw(st.integers(1, 8))
-    arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                              max_size=30))
-    bulk = DirectedGraph(n, [u for u, _ in arcs], [v for _, v in arcs])
+    arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                        st.integers(1, 9)), max_size=30))
+    with_lengths = data.draw(st.booleans())  # else every arc gets length 1
+    bulk = DirectedGraph(n, [u for u, _, _ in arcs], [v for _, v, _ in arcs],
+                         [ln for _, _, ln in arcs] if with_lengths else None)
     one_by_one = DirectedGraph(n)
-    for u, v in arcs:
-        one_by_one.add_edge(u, v)
+    for u, v, ln in arcs:
+        one_by_one.add_edge(u, v, ln if with_lengths else 1)
     assert vars(bulk) == vars(one_by_one)
+    with pytest.raises(ValueError):
+        DirectedGraph(n, [0], [0], [0])
 
 
 def test_bfs_tree_order_target_and_depth():
