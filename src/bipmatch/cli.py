@@ -122,7 +122,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--csv", help="write CSV here ('-' for stdout)")
     ap.add_argument("--target", type=int)
     ap.add_argument("--verify", action="store_true",
-                    help="cross-check sizes against the Hopcroft-Karp oracle")
+                    help="check that every matched pair is a graph edge and the size "
+                         "matches the Hopcroft-Karp oracle")
     ap.add_argument("--trace", action="store_true")
     args = ap.parse_args(argv)
 
@@ -168,11 +169,17 @@ def main(argv: list[str] | None = None) -> int:
                     expect = oracle_size if args.target is None else min(
                         oracle_size, args.target
                     )
-                    verified = "yes" if len(matching) == expect else "NO"
-                    if verified == "NO":
+                    try:
+                        matching.validate(g)
+                        problem = "" if len(matching) == expect else \
+                            f"got {len(matching)} expected {expect}"
+                    except ValueError as exc:  # a matched pair is not an edge
+                        problem = str(exc)
+                    verified = "NO" if problem else "yes"
+                    if problem:
                         ok = False
                         print(f"verification FAILED: {gen_name} seed={seed} algo={algo} "
-                              f"got {len(matching)} expected {expect}", file=sys.stderr)
+                              f"{problem}", file=sys.stderr)
                 row = dict(counters, generator=gen_name, seed=seed, n_left=g.n_left,
                            n_right=g.n_right, m=len(g.edges), algo=algo,
                            backend=args.backend if algo == "paper" else "",

@@ -16,6 +16,13 @@ of T_i.  No floating point is used anywhere in the update path.
 A query returns the tree path (original total length at most (1+10eps)*d)
 or FAIL; FAIL is permanent and only legal when no s-t path has both total
 length <= d and total weight <= Gamma.
+
+The graph is built in bulk before finalize (add_edges appends a whole list
+of edges; finalize fills each in-edge heap and heapifies it once).  Every
+update only raises estimates, so several changes can share one update:
+increase_lengths lengthens a batch of edges, such as all those of a
+deleted path, and split_vertex drops its temporary edges, and each then
+settles the queue once.
 """
 
 from __future__ import annotations
@@ -112,25 +119,48 @@ class DagSssp(DirectedGraph):
             raise ValueError(f"weight {weight} is not a power of 2 within range")
         return cls
 
-    def _new_edge(self, u: int, v: int, length: int, weight: int, temp: bool = False) -> int:
-        cls = self._class_of(weight)
-        eid = DirectedGraph.add_edge(self, u, v, length, weight)
-        self.lprime.append(self._modified(length, cls))
-        self.is_temp.append(temp)
-        self.out_by_class[u].setdefault(cls, set()).add(eid)
-        self.stale.append(INF)
-        self.key_of.append(INF)
+    def _new_edges(self, specs, temp: bool = False) -> range:
+        """Append the (tail, head, length, weight) specs in one bulk pass;
+        returns their edge ids in order."""
+        if not specs:
+            return range(len(self.tail), len(self.tail))
+        tails, heads, lengths, weights = (list(col) for col in zip(*specs))
+        class_of = {w: self._class_of(w) for w in set(weights)}
+        classes = [class_of[w] for w in weights]
+        eids = DirectedGraph.add_edges(self, tails, heads, lengths, weights)
+        k = len(eids)
+        # few distinct (length, class) pairs: transform each once
+        pairs = list(zip(lengths, classes))
+        modified = {pair: self._modified(*pair) for pair in set(pairs)}
+        self.lprime += map(modified.__getitem__, pairs)
+        self.is_temp += [temp] * k
+        out_by_class = self.out_by_class
+        for eid, u, cls in zip(eids, tails, classes):
+            bucket = out_by_class[u].get(cls)
+            if bucket is None:
+                out_by_class[u][cls] = {eid}
+            else:
+                bucket.add(eid)
+        self.stale += [INF] * k
+        self.key_of += [INF] * k
         if not temp:
-            self.m_counted += 1
-        self.work += 1
-        return eid
+            self.m_counted += k
+        self.work += k
+        return eids
 
     def add_edge(self, u: int, v: int, length: int, weight: int) -> int:
+        return self.add_edges([(u, v, length, weight)])[0]
+
+    def add_edges(self, specs) -> range:
+        """Add the (tail, head, length, weight) specs as edges, before
+        finalize, in one bulk pass; returns their ids in order."""
         if self.finalized:
             raise RuntimeError("edges may only be added before finalize or via splits")
-        return self._new_edge(u, v, length, weight)
+        return self._new_edges(specs)
 
     def finalize(self) -> None:
+        """Compute the first estimates and tree with one Dijkstra and fill
+        every in-edge heap in bulk (one heapify per vertex)."""
         if self.finalized:
             raise RuntimeError("already finalized")
         try:
@@ -140,14 +170,26 @@ class DagSssp(DirectedGraph):
         self.finalized = True
         dist, parent, scans = dijkstra_tree(self, self.s, self.lprime)
         self.work += scans
+        est, tail = self.est, self.tail
         for v in range(self.n):
-            self.est[v] = dist[v] if dist[v] <= self.cap else INF
-            if v != self.s and self.est[v] is not INF:
+            est[v] = dist[v] if dist[v] <= self.cap else INF
+            if v != self.s and est[v] is not INF:
                 self.parent_edge[v] = parent[v]
-                self.children[self.tail[parent[v]]].add(v)
-        for eid in range(len(self.tail)):
-            self.stale[eid] = self.est[self.tail[eid]]
-            self._set_key(eid)
+                self.children[tail[parent[v]]].add(v)
+        # as _set_key would, edge by edge; the (key, eid) entries are
+        # distinct, so the heaps pop in the same order
+        in_heap, head, alive, lprime = self.in_heap, self.head, self.alive, self.lprime
+        stale, key_of = self.stale, self.key_of
+        stale[:] = [est[u] for u in tail]
+        pushed = 0
+        for eid, e in enumerate(stale):
+            if e is not INF and alive[eid]:
+                key = key_of[eid] = e + lprime[eid]
+                in_heap[head[eid]].append((key, eid))
+                pushed += 1
+        for h in in_heap:
+            heapq.heapify(h)
+        self.work += pushed
         if self.checked:
             self.check_invariants()
 
@@ -269,18 +311,24 @@ class DagSssp(DirectedGraph):
     def delete_edge(self, eid: int) -> None:
         self._update(lambda: self._drop(eid))
 
-    def increase_length(self, eid: int, length: int) -> None:
-        """Raise live edge eid's original length to length.  Estimates only
-        rise, so this is a legal update like a deletion: eid's head
-        re-attaches if eid was its tree edge."""
-        if not self.alive[eid] or length < self.length[eid]:
-            raise ValueError(f"edge {eid} is dead or would get shorter")
+    def increase_lengths(self, updates: list[tuple[int, int]]) -> None:
+        """Raise each live edge eid of the (eid, length) pairs to the original
+        length given, as one update.  Estimates only rise, so a batch is as
+        legal as a deletion: every update is checked first, then all are
+        applied, each edge's head is queued if the edge was its tree edge,
+        and the queue is settled once."""
+        new_length: dict[int, int] = {}
+        for eid, length in updates:
+            if not self.alive[eid] or length < new_length.get(eid, self.length[eid]):
+                raise ValueError(f"edge {eid} is dead or would get shorter")
+            new_length[eid] = length
 
         def lengthen() -> None:
-            self.length[eid] = length
-            self.lprime[eid] = self._modified(length, self.weight[eid].bit_length() - 1)
-            self._set_key(eid)
-            self._orphan_head(eid)
+            for eid, length in updates:
+                self.length[eid] = length
+                self.lprime[eid] = self._modified(length, self.weight[eid].bit_length() - 1)
+                self._set_key(eid)
+                self._orphan_head(eid)
         self._update(lengthen)
 
     def split_vertex(self, v: int, new_ids: list[int],
@@ -311,7 +359,7 @@ class DagSssp(DirectedGraph):
                 raise AssertionError(f"vertex {v} has an estimate but no parent edge")
             x = self.tail[pe]
             for u in new_ids:
-                te = self._new_edge(x, u, self.length[pe], self.weight[pe], temp=True)
+                te = self._new_edges([(x, u, self.length[pe], self.weight[pe])], temp=True)[0]
                 self.lprime[te] = self.lprime[pe]
                 self.stale[te] = self.stale[pe]
                 self._set_key(te)
@@ -322,17 +370,17 @@ class DagSssp(DirectedGraph):
         created: list[int] = []
         for a, b, length, weight in specs:
             if a in group and b in group:
-                eid = self._new_edge(a, b, length, weight)
+                eid = self._new_edges([(a, b, length, weight)])[0]
                 self.stale[eid] = self.est[a]
                 self._set_key(eid)
             elif b in group:
                 mirror = self._find_mirror(a, v, length, weight, incoming=True)
-                eid = self._new_edge(a, b, length, weight)
+                eid = self._new_edges([(a, b, length, weight)])[0]
                 self.stale[eid] = self.stale[mirror]
                 self._set_key(eid)
             elif a in group:
                 mirror = self._find_mirror(b, v, length, weight, incoming=False)
-                eid = self._new_edge(a, b, length, weight)
+                eid = self._new_edges([(a, b, length, weight)])[0]
                 self.stale[eid] = self.stale[mirror]
                 self._set_key(eid)
             else:
@@ -448,6 +496,8 @@ class DagSssp(DirectedGraph):
             if v == self.t:
                 continue
             for cls, eids in self.out_by_class[v].items():
+                if len(eids) <= (1 << (cls + 2)):
+                    continue  # too few edges for too many heads
                 heads = {self.head[e] for e in eids if self.alive[e] and not self.is_temp[e]}
                 if len(heads) > (1 << (cls + 2)):
                     raise AssertionError(

@@ -100,37 +100,24 @@ class DirectedGraph:
 
     DirectedGraph(n, tail, head, length) starts with the arcs tail[i] ->
     head[i] of length length[i] (default 1) as edges 0, 1, ..., all live, as
-    if added one by one.
+    if added one by one; add_edges appends such a batch to any graph.
     """
 
     def __init__(self, n: int, tail=(), head=(), length=None):
-        if len(tail) != len(head):
-            raise ValueError(f"{len(tail)} tails for {len(head)} heads")
         self.n = n
         self.vertex_alive = [True] * n
         self.live_n = n
-        self.tail: list[int] = list(tail)
-        self.head: list[int] = list(head)
-        m = len(self.tail)
-        if length is None:
-            self.length: list[int] = [1] * m
-        else:
-            self.length = list(length)
-            if len(self.length) != m:
-                raise ValueError(f"{len(self.length)} lengths for {m} edges")
-            if any(ln <= 0 for ln in self.length):
-                raise ValueError("edge lengths must be positive")
-        self.weight: list[int | None] = [None] * m
-        self.alive: list[bool] = [True] * m
+        self.tail: list[int] = []
+        self.head: list[int] = []
+        self.length: list[int] = []
+        self.weight: list[int | None] = []
+        self.alive: list[bool] = []
         self.out_adj: list[list[int]] = [[] for _ in range(n)]
         self.in_adj: list[list[int]] = [[] for _ in range(n)]
-        for eid, u in enumerate(self.tail):
-            self.out_adj[u].append(eid)
-        for eid, v in enumerate(self.head):
-            self.in_adj[v].append(eid)
-        self.live_out: list[int] = [len(a) for a in self.out_adj]
-        self.live_in: list[int] = [len(a) for a in self.in_adj]
-        self.live_m = m
+        self.live_out: list[int] = [0] * n
+        self.live_in: list[int] = [0] * n
+        self.live_m = 0
+        DirectedGraph.add_edges(self, tail, head, length)
 
     def add_vertex(self) -> int:
         self.out_adj.append([])
@@ -157,6 +144,44 @@ class DirectedGraph:
         self.live_in[v] += 1
         self.live_m += 1
         return eid
+
+    def add_edges(self, tail, head, length=None, weight=None) -> range:
+        """Append the arcs tail[i] -> head[i] of length length[i] (default 1)
+        and weight weight[i] (default None) as the next edge ids, all live,
+        as add_edge would one by one; returns their ids.  Nothing is added
+        if the batch is malformed."""
+        tail, head = list(tail), list(head)
+        k = len(tail)
+        if len(head) != k:
+            raise ValueError(f"{k} tails for {len(head)} heads")
+        if length is None:
+            length = [1] * k
+        else:
+            length = list(length)
+            if len(length) != k:
+                raise ValueError(f"{len(length)} lengths for {k} edges")
+            if length and min(length) <= 0:
+                raise ValueError("edge lengths must be positive")
+        weight = [None] * k if weight is None else list(weight)
+        if len(weight) != k:
+            raise ValueError(f"{len(weight)} weights for {k} edges")
+        m = len(self.tail)
+        self.tail += tail
+        self.head += head
+        self.length += length
+        self.weight += weight
+        self.alive += [True] * k
+        for adj, live, ends in ((self.out_adj, self.live_out, tail),
+                                (self.in_adj, self.live_in, head)):
+            for eid, x in enumerate(ends, m):
+                adj[x].append(eid)
+            if m == 0:  # every list was empty: live degrees are list lengths
+                live[:] = map(len, adj)
+            else:
+                for x in ends:
+                    live[x] += 1
+        self.live_m += k
+        return range(m, m + k)
 
     def delete_edge(self, eid: int) -> None:
         if not self.alive[eid]:

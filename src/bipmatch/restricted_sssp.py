@@ -56,6 +56,15 @@ class ClusterRecord:
     bad_edges: int = 0
 
 
+def _skip_between(ru: ClusterRecord, rv: ClusterRecord) -> int:
+    """The position gap an edge from cluster ru to cluster rv spans: from the
+    end of ru's interval to the start of rv's, or back from ru's start to
+    rv's end."""
+    if ru.start + ru.size <= rv.start:
+        return rv.start - (ru.start + ru.size - 1)
+    return ru.start - (rv.start + rv.size - 1)
+
+
 class RestrictedSssp:
     def __init__(self, graph: WellStructuredGraph, delta: int, m_param: int,
                  cnst: Constants | None = None, lam: int | None = None,
@@ -263,8 +272,7 @@ class RestrictedSssp:
         crossing = [eid for eid in range(len(g.tail))
                     if self.cluster_of[g.tail[eid]] != self.cluster_of[g.head[eid]]]
         self.dag_payload: dict[int, tuple[int, int]] = {}
-        self.copies = self._place_copies(
-            crossing, lambda specs: [dag.add_edge(*spec) for spec in specs])
+        self.copies = self._place_copies(crossing, dag.add_edges)
         dag.finalize()
         self.dag = dag
         if self.checked:
@@ -276,10 +284,8 @@ class RestrictedSssp:
         return rec.start, rec.start + rec.size - 1
 
     def _skip(self, u: int, v: int) -> int:
-        (u_lo, u_hi), (v_lo, v_hi) = self._interval(u), self._interval(v)
-        if u_hi < v_lo:
-            return v_lo - u_hi
-        return u_lo - v_hi
+        return _skip_between(self.clusters[self.cluster_of[u]],
+                             self.clusters[self.cluster_of[v]])
 
     def _span(self, u: int, v: int) -> int:
         (u_lo, u_hi), (v_lo, v_hi) = self._interval(u), self._interval(v)
@@ -308,19 +314,23 @@ class RestrictedSssp:
         length, weight) specs and returns their ids in order.  Returns each
         edge's {i: DAG edge id}."""
         g = self.graph.g
+        clusters, cluster_of, length = self.clusters, self.cluster_of, self.length
+        top = self.max_exp + 1
+        weights = [1 << i for i in range(top)]
         specs: list[tuple[int, int, int, int]] = []
-        meta: list[tuple[int, int]] = []
+        meta: list[tuple[int, int]] = []  # (edge, class) per spec
         for eid in eids:
-            u, v = g.tail[eid], g.head[eid]
-            tail_sup = self.clusters[self.cluster_of[u]].sup
-            head_sup = self.clusters[self.cluster_of[v]].sup
-            for i in range(_min_exp(self._skip(u, v)), self.max_exp + 1):
-                specs.append((tail_sup, head_sup, self.length[eid], 1 << i))
-                meta.append((eid, i))
+            ru = clusters[cluster_of[g.tail[eid]]]
+            rv = clusters[cluster_of[g.head[eid]]]
+            lo = _min_exp(_skip_between(ru, rv))
+            su, sv, ln = ru.sup, rv.sup, length[eid]
+            specs += [(su, sv, ln, w) for w in weights[lo:]]
+            meta += [(eid, i) for i in range(lo, top)]
+        created = create(specs)
+        self.dag_payload.update(zip(created, meta))
         per: dict[int, dict[int, int]] = {eid: {} for eid in eids}
-        for (eid, i), deid in zip(meta, create(specs)):
+        for (eid, i), deid in zip(meta, created):
             per[eid][i] = deid
-            self.dag_payload[deid] = (eid, i)
         return per
 
     def _rehome(self, cid: int, new_cids: list[int]) -> None:
@@ -464,12 +474,13 @@ class RestrictedSssp:
             raise ValueError(f"edges {bad} were not on the last returned path")
         g = self.graph.g
         per_cluster: dict[int, list[int]] = {}
+        updates: list[tuple[int, int]] = []  # (DAG edge, new length), all classes
         for c in copy_ids:
             eid = c // self.levels
             u, v = g.tail[eid], g.head[eid]
             self.length[eid] *= 2
-            for deid in self.copies.get(eid, {}).values():
-                self.dag.increase_length(deid, self.length[eid])
+            updates += ((deid, self.length[eid])
+                        for deid in self.copies.get(eid, {}).values())
             if self.length[eid] // 2 < self.long_threshold <= self.length[eid]:
                 self.out_pairs[u].discard(v)
                 cu, cv = self.cluster_of[u], self.cluster_of[v]
@@ -480,6 +491,7 @@ class RestrictedSssp:
                             (rec.global2local[u], rec.global2local[v])
                         ]
                         per_cluster.setdefault(cu, []).append(le)
+        self.dag.increase_lengths(updates)
         self.last_path -= set(copy_ids)
         for cid in sorted(per_cluster):
             rec = self.clusters[cid]

@@ -161,3 +161,28 @@ def test_cli_maps_unexpected_errors_to_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(cli, "max_matching", lambda *a, **k: 1 / 0)
     assert main(["--algo", "paper", "--gen", "random-gnp", "--n", "6"]) == 2
     assert capsys.readouterr().err.startswith("error: ZeroDivisionError")
+
+
+def test_cli_verify_rejects_a_matching_with_a_non_edge(monkeypatch, capsys):
+    import bipmatch.cli as cli
+    from bipmatch.driver import RunReport
+    from bipmatch.graph_core import Matching
+
+    def swapped(g, cfg):
+        # a maximum matching with the partners of two pairs swapped: right
+        # size, no vertex reused, but (u1, v2) is not a graph edge
+        pairs = sorted(hopcroft_karp(g)[0].pairs)
+        (u1, v1), (u2, v2) = next((a, b) for a in pairs for b in pairs
+                                  if a != b and (a[0], b[1]) not in g.edge_set)
+        rest = [q for q in pairs if q not in ((u1, v1), (u2, v2))]
+        return Matching(rest + [(u1, v2), (u2, v1)]), RunReport()
+
+    monkeypatch.setattr(cli, "max_matching", swapped)
+    rc = main(["--algo", "paper", "--gen", "random-gnp", "--n", "12", "--p", "0.2",
+               "--seed", "3", "--verify", "--csv", "-"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    header, row = out.strip().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["verified"] == "NO"
+    assert err.startswith("verification FAILED: random-gnp seed=3 algo=paper")
+    assert "not a graph edge" in err

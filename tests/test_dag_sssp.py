@@ -277,13 +277,30 @@ def test_lengthened_tree_edge_reattaches_through_another_in_edge():
     e_out = dag.add_edge(2, 1, 1, 1)
     dag.finalize()
     assert dag.parent_edge[2] == e_direct
-    dag.increase_length(e_direct, 8)
+    dag.increase_lengths([(e_direct, 8)])
     assert dag.length[e_direct] == 8
     assert dag.parent_edge[2] == e_detour
     assert dag.est[2] == dag.stale[e_detour] + dag.lprime[e_detour]
     assert dag.path_query() == [e_in, e_detour, e_out]
     with pytest.raises(ValueError):
-        dag.increase_length(e_direct, 4)  # lengths never shrink
+        dag.increase_lengths([(e_direct, 4)])  # lengths never shrink
+
+
+def test_a_bad_update_rejects_the_whole_batch():
+    dag = make_dag(4)
+    e_direct = dag.add_edge(0, 2, 2, 1)
+    dag.add_edge(0, 3, 2, 1)
+    e_detour = dag.add_edge(3, 2, 2, 1)
+    e_out = dag.add_edge(2, 1, 2, 1)
+    e_dead = dag.add_edge(3, 1, 9, 1)
+    dag.finalize()
+    dag.delete_edge(e_dead)
+    before = (list(dag.length), list(dag.est), list(dag.parent_edge))
+    # the good update comes first, so applying as it checks would show
+    for bad in [(e_dead, 18), (e_out, 1), (e_direct, 4)]:
+        with pytest.raises(ValueError):
+            dag.increase_lengths([(e_direct, 8), (e_detour, 2), bad])
+        assert (dag.length, dag.est, dag.parent_edge) == before
 
 
 COPIES = 4
@@ -326,5 +343,51 @@ def test_increase_length_matches_deleting_the_cheapest_copy(data):
             break
         eid, ids = data.draw(st.sampled_from(live))
         copies.delete_edge(ids.pop(0))
-        single.increase_length(eid, 2 * single.length[eid])
+        single.increase_lengths([(eid, 2 * single.length[eid])])
         same_state()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_batched_length_increases_keep_the_invariants(data):
+    # checked mode runs check_invariants (I1-I5) after every batch; a batch
+    # may lengthen an edge twice, or leave a length as it is
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    n = data.draw(st.integers(3, 14))
+    d = data.draw(st.sampled_from([6, 12, 30]))
+    gamma = data.draw(st.sampled_from([2, 6, 20]))
+    dag = make_dag(n, d=d, gamma=gamma)
+    mirror = DirectedGraph(n)  # the same edges at the same lengths, for the oracle
+    pairs = []
+    for _ in range(rng.randint(n, 4 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u == v or v == 0 or u == 1:
+            continue
+        w = 1 << rng.randint(0, 3)
+        ln = rng.randint(1, 4)
+        de = dag_add_edge_p1(dag, u, v, ln, w)
+        if de is not None:
+            pairs.append((de, mirror.add_edge(u, v, ln, w)))
+    dag.finalize()
+    for _ in range(data.draw(st.integers(1, 10))):
+        live = [(de, me) for de, me in pairs if dag.alive[de]]
+        if not live:
+            break
+        if rng.random() < 0.2:
+            de, me = rng.choice(live)
+            dag.delete_edge(de)
+            mirror.delete_edge(me)
+        else:
+            updates, new_length = [], {}
+            for de, me in rng.choices(live, k=rng.randint(1, 6)):
+                ln = new_length.get(me, dag.length[de])
+                new_length[me] = ln + rng.choice([0, 1, ln])
+                updates.append((de, new_length[me]))
+            dag.increase_lengths(updates)
+            for me, ln in new_length.items():
+                mirror.length[me] = ln
+        path = dag.path_query()
+        if path is None:  # FAIL is legal only without a (d, Gamma)-feasible path
+            assert not bicriteria_path_oracle(mirror, 0, 1, d, gamma)
+            break
+        assert dag.path_length(path) * dag.k <= (dag.k + 10) * d

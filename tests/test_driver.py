@@ -234,6 +234,69 @@ def test_disjoint_paths_matches_the_oracle_when_a_phase_finds_many_paths(data):
     assert disjoint_paths(h, offered) == bfs_tree_disjoint_paths(h, offered)
 
 
+def rerouting_instance(rng, shapes, decoy_n):
+    """A graph and matching whose residual makes a later blocking-flow phase
+    choose, at an L vertex u, between a forward and a backward arc.
+
+    Each (p, q) gadget has free left vertices x and y, u matched to r, a
+    free right vertex w, and the edges x-r and u-w.  y reaches w through p
+    matched pairs; x and u each lead into a tail of q and q + 1 matched
+    pairs, ending at a free right vertex.  When p, q >= 2 the first phase
+    augments along s, x, r, u, w, t alone (length 5; every other path is
+    longer), and the next one reaches u from y through w and may leave it
+    forward into u's tail, or backward over the flow edge r->u and on from x
+    into x's tail: both reach t after 2p + 2q + 7 edges.  A random decoy
+    graph with a random matching sits beside the gadgets, and both sides
+    are relabelled at random.
+    """
+    edges, pairs, size = [], [], {"L": 0, "R": 0}
+
+    def new(side):
+        size[side] += 1
+        return size[side] - 1
+
+    def chain(a, k, end=None):
+        # from left vertex a through k matched pairs to a free right vertex
+        for _ in range(k):
+            b, e = new("R"), new("L")
+            edges.extend([(a, b), (e, b)])
+            pairs.append((e, b))
+            a = e
+        edges.append((a, new("R") if end is None else end))
+
+    for p, q in shapes:
+        x, y, u, r, w = new("L"), new("L"), new("L"), new("R"), new("R")
+        edges.extend([(x, r), (u, r), (u, w)])
+        pairs.append((u, r))
+        chain(y, p, end=w)
+        chain(x, q)
+        chain(u, q + 1)
+    decoy = random_bipartite(rng, decoy_n, decoy_n, 0.3)
+    nl, nr = size["L"], size["R"]
+    edges.extend((nl + a, nr + b) for a, b in decoy.edges)
+    pairs.extend((nl + a, nr + b) for a, b in random_matching(rng, decoy).pairs)
+    left, right = list(range(nl + decoy_n)), list(range(nr + decoy_n))
+    rng.shuffle(left)
+    rng.shuffle(right)
+    g = BipartiteGraph(len(left), len(right),
+                       tuple(sorted((left[a], right[b]) for a, b in edges)))
+    return g, Matching((left[a], right[b]) for a, b in pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_disjoint_paths_matches_the_oracle_when_a_phase_reroutes_an_l_vertex(data):
+    # the random tests above almost never give an L vertex a forward and a
+    # backward arc that both start shortest paths; every gadget here does
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    shapes = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)),
+                                min_size=1, max_size=3))
+    g, m = rerouting_instance(rng, shapes, data.draw(st.integers(0, 8)))
+    h = residual_graph(g, m)
+    assert disjoint_paths(h, h.g.live_edges()) == bfs_tree_disjoint_paths(
+        h, h.g.live_edges())
+
+
 def test_disjoint_paths_backs_out_of_a_dead_end():
     # one phase, with levels s:0, a,b:1, x,y,z:2, t:3.  From a the search
     # enters x first, whose one arc leads back to b, not on to t: it backs

@@ -263,8 +263,18 @@ def test_bulk_built_graph_equals_one_edge_at_a_time(data):
     for u, v, ln in arcs:
         one_by_one.add_edge(u, v, ln if with_lengths else 1)
     assert vars(bulk) == vars(one_by_one)
+    # a second batch, with weights, appended to the graph as it now is
+    more = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                        st.integers(1, 9), st.integers(1, 4)), max_size=30))
+    ids = bulk.add_edges([u for u, _, _, _ in more], [v for _, v, _, _ in more],
+                         [ln for _, _, ln, _ in more], [w for _, _, _, w in more])
+    assert list(ids) == [one_by_one.add_edge(u, v, ln, w) for u, v, ln, w in more]
+    assert vars(bulk) == vars(one_by_one)
     with pytest.raises(ValueError):
         DirectedGraph(n, [0], [0], [0])
+    with pytest.raises(ValueError):
+        bulk.add_edges([0, 0], [0, 0], [1, 0])
+    assert vars(bulk) == vars(one_by_one)  # a rejected batch adds nothing
 
 
 def test_bfs_tree_order_target_and_depth():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipmatch.constants import Constants, mwu_lambda
+from bipmatch.dag_sssp import DagSssp
 from bipmatch.graph_core import (BipartiteGraph, Matching, S_ID, T_ID,
                                  WellStructuredGraph, residual_graph)
 from bipmatch.maintain_cluster import ClusterContractError
@@ -206,6 +207,21 @@ def test_full_backend_does_not_fail_while_short_supply_lasts():
         res = rs.query()
         assert res is not None, "failed while lambda-short paths existed"
         rs.delete_path_edges(res[1])
+
+
+def test_contracted_graph_is_built_in_one_batch_and_lengthened_once_per_path(monkeypatch):
+    calls = {"add_edge": 0, "add_edges": 0, "increase_lengths": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _real=getattr(DagSssp, name)):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(DagSssp, name, counted)
+    g, h = near_complete_residual(random.Random(5), 12, 12, 0.3, leave=3)
+    rs = RestrictedSssp(h, delta=3, m_param=h.g.live_m, checked=True)
+    assert calls == {"add_edge": 0, "add_edges": 1, "increase_lengths": 0}
+    paths = drain(rs, h)
+    assert len(paths) == 3
+    assert calls == {"add_edge": 0, "add_edges": 1, "increase_lengths": 3}
 
 
 def test_query_raises_contract_error_when_retries_run_out(monkeypatch):
