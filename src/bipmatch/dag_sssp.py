@@ -1,9 +1,9 @@
 """Decremental approximate s-t shortest paths on weighted DAG-like graphs.
 
-Maintains, under edge deletions, length increases and vertex splits,
-per-vertex distance estimates that are multiples of eps, a shortest-path
-out-tree from the source, per-vertex in-neighbor heaps and weight-bucketed
-out-neighbor sets.
+Maintains, under edge deletions, length increases, weight-class raises and
+vertex splits, per-vertex distance estimates that are multiples of eps, a
+shortest-path out-tree from the source, per-vertex in-neighbor heaps and
+weight-bucketed out-neighbor sets.
 A vertex re-communicates its estimate to a weight-2^i out-neighbor only when
 the estimate crosses a multiple of eps^2*ceil(d*2^i/(Gamma*log n)), which is
 what caps the total update work.
@@ -20,9 +20,9 @@ length <= d and total weight <= Gamma.
 The graph is built in bulk before finalize (add_edges appends a whole list
 of edges; finalize fills each in-edge heap and heapifies it once).  Every
 update only raises estimates, so several changes can share one update:
-increase_lengths lengthens a batch of edges, such as all those of a
-deleted path, and split_vertex drops its temporary edges, and each then
-settles the queue once.
+increase_lengths lengthens (or raises the class of) a batch of edges, such
+as all those of a deleted path, split_vertex drops its temporary edges,
+and each then settles the queue once.
 """
 
 from __future__ import annotations
@@ -311,22 +311,34 @@ class DagSssp(DirectedGraph):
     def delete_edge(self, eid: int) -> None:
         self._update(lambda: self._drop(eid))
 
-    def increase_lengths(self, updates: list[tuple[int, int]]) -> None:
-        """Raise each live edge eid of the (eid, length) pairs to the original
-        length given, as one update.  Estimates only rise, so a batch is as
-        legal as a deletion: every update is checked first, then all are
-        applied, each edge's head is queued if the edge was its tree edge,
-        and the queue is settled once."""
-        new_length: dict[int, int] = {}
-        for eid, length in updates:
-            if not self.alive[eid] or length < new_length.get(eid, self.length[eid]):
-                raise ValueError(f"edge {eid} is dead or would get shorter")
-            new_length[eid] = length
+    def increase_lengths(self, updates: list[tuple[int, ...]]) -> None:
+        """Raise each live edge of the (eid, length) or (eid, length, weight)
+        updates to the original length and power-of-two weight given, as one
+        update; neither may fall, nor a class pass max_class.  Estimates only
+        rise, so a batch is as legal as a deletion: all updates are checked,
+        then applied, and the queue is settled once.  A raised edge moves to
+        its new out_by_class bucket and is notified afresh, because the new
+        class's thresholds need not fall where the old one's did."""
+        new: dict[int, tuple[int, int]] = {}
+        for eid, length, *weight in updates:
+            old_length, old_weight = new.get(eid, (self.length[eid], self.weight[eid]))
+            w = weight[0] if weight else old_weight
+            self._class_of(w)
+            if not self.alive[eid] or length < old_length or w < old_weight:
+                raise ValueError(f"edge {eid} is dead or would get shorter or lighter")
+            new[eid] = (length, w)
 
         def lengthen() -> None:
-            for eid, length in updates:
+            for eid, (length, weight) in new.items():
+                cls = weight.bit_length() - 1
+                if weight != self.weight[eid]:
+                    u = self.tail[eid]
+                    self.out_by_class[u][self.weight[eid].bit_length() - 1].discard(eid)
+                    self.out_by_class[u].setdefault(cls, set()).add(eid)
+                    self.weight[eid] = weight
+                    self.stale[eid] = self.est[u]
                 self.length[eid] = length
-                self.lprime[eid] = self._modified(length, self.weight[eid].bit_length() - 1)
+                self.lprime[eid] = self._modified(length, cls)
                 self._set_key(eid)
                 self._orphan_head(eid)
         self._update(lengthen)
@@ -336,9 +348,10 @@ class DagSssp(DirectedGraph):
         """Split new_ids off from v; specs are (tail, head, length, weight).
 
         Every described edge either joins two members of {v}+new_ids, or
-        mirrors an existing edge between v and an outside vertex with
-        identical length and weight.  Returns the created edge ids, in
-        input order.
+        mirrors a live edge between v and an outside vertex with identical
+        length and weight.  An edge whose weight class rises as it moves
+        off v is raised first, with increase_lengths, so that its mirror
+        matches exactly.  Returns the created edge ids, in input order.
         """
         if not self.finalized:
             raise RuntimeError("finalize first")
@@ -360,7 +373,6 @@ class DagSssp(DirectedGraph):
             x = self.tail[pe]
             for u in new_ids:
                 te = self._new_edges([(x, u, self.length[pe], self.weight[pe])], temp=True)[0]
-                self.lprime[te] = self.lprime[pe]
                 self.stale[te] = self.stale[pe]
                 self._set_key(te)
                 self.parent_edge[u] = te
@@ -370,42 +382,29 @@ class DagSssp(DirectedGraph):
         created: list[int] = []
         for a, b, length, weight in specs:
             if a in group and b in group:
-                eid = self._new_edges([(a, b, length, weight)])[0]
-                self.stale[eid] = self.est[a]
-                self._set_key(eid)
-            elif b in group:
-                mirror = self._find_mirror(a, v, length, weight, incoming=True)
-                eid = self._new_edges([(a, b, length, weight)])[0]
-                self.stale[eid] = self.stale[mirror]
-                self._set_key(eid)
-            elif a in group:
-                mirror = self._find_mirror(b, v, length, weight, incoming=False)
-                eid = self._new_edges([(a, b, length, weight)])[0]
-                self.stale[eid] = self.stale[mirror]
-                self._set_key(eid)
+                stale = self.est[a]
+            elif a in group or b in group:
+                outside = a if b in group else b
+                stale = self.stale[self._find_mirror(outside, v, length, weight,
+                                                     incoming=b in group)]
             else:
                 raise ValueError("a described edge does not touch the split group")
+            eid = self._new_edges([(a, b, length, weight)])[0]
+            self.stale[eid] = stale
+            self._set_key(eid)
             created.append(eid)
 
-        self._q = []
-        self._q_members = {}
-        for te in temp_ids:
-            self._drop(te)
-        self._process_queue()
-        if self.checked:
-            self.check_invariants()
+        def drop_temps() -> None:
+            for te in temp_ids:
+                self._drop(te)
+        self._update(drop_temps)
         return created
 
     def _find_mirror(self, outside: int, v: int, length: int, weight: int,
                      incoming: bool) -> int:
-        cls = self._class_of(weight)
-        if incoming:
-            cands = [e for e in self.in_adj[v]
-                     if self.alive[e] and self.tail[e] == outside
-                     and self.length[e] == length and self.weight[e] == weight]
-        else:
-            cands = [e for e in self.out_by_class[v].get(cls, ())
-                     if self.alive[e] and self.head[e] == outside and self.length[e] == length]
+        adj, far = (self.in_adj[v], self.tail) if incoming else (self.out_adj[v], self.head)
+        cands = [e for e in adj if self.alive[e] and far[e] == outside
+                 and self.length[e] == length and self.weight[e] == weight]
         if not cands:
             raise ValueError("vertex-split edge has no mirror in the current graph")
         return min(cands)

@@ -12,8 +12,9 @@ deleted.  Two implementations share the interface:
   interval with the sparse direction placed right-to-left.  Leaf clusters,
   and clusters with no short edge inside, are shattered into singletons.
   Part 2 runs the DAG-like SSSP structure on the contracted graph, which
-  holds one edge per crossing residual edge and power-of-two weight class
-  bounding the position gap the edge skips.
+  holds one edge per crossing residual edge, in the least power-of-two
+  weight class that bounds the position gap the edge skips; when a split
+  widens that gap, the edge's class is raised in place.
 
 - ReferenceSssp: plain decremental shortest path over one Even-Shiloach
   tree, failing exactly when dist(s,t) > 8*lambda; it anchors differential
@@ -91,7 +92,6 @@ class RestrictedSssp:
         self.logm = log2c(self.m_param)
         self.long_threshold = self.lam / (64.0 * self.d * self.logm)
         self.gamma = self.cnst.rsssp_gamma(n, self.d, delta)
-        self.max_exp = max(1, math.ceil(math.log2(max(2, n))))
 
         self.queries_done = 0
         self.failed = False
@@ -271,12 +271,10 @@ class RestrictedSssp:
         g = self.graph.g
         crossing = [eid for eid in range(len(g.tail))
                     if self.cluster_of[g.tail[eid]] != self.cluster_of[g.head[eid]]]
-        self.dag_payload: dict[int, tuple[int, int]] = {}
-        self.copies = self._place_copies(crossing, dag.add_edges)
+        self.residual_edge: dict[int, int] = {}  # DAG edge -> residual edge
+        self.dag_edge = self._place_copies(crossing, dag.add_edges)
         dag.finalize()
         self.dag = dag
-        if self.checked:
-            dag.check_p1()
 
     def _interval(self, v: int) -> tuple[int, int]:
         """First and last position of the interval of v's cluster."""
@@ -293,50 +291,28 @@ class RestrictedSssp:
             return u_hi - v_lo
         return 0
 
-    def _prune_edge(self, eid: int) -> None:
-        dag = self.dag
-        if dag is None:
-            raise AssertionError("contracted graph not built")
-        g = self.graph.g
-        u, v = g.tail[eid], g.head[eid]
-        if self.cluster_of[u] == self.cluster_of[v]:
-            return
-        lo = _min_exp(self._skip(u, v))
-        per = self.copies[eid]
-        for i in sorted(per):
-            if i < lo:
-                dag.delete_edge(per.pop(i))
-
-    def _place_copies(self, eids: list[int], create) -> dict[int, dict[int, int]]:
-        """One DAG edge per weight class 2^i, i >= _min_exp(skip), of each edge
-        between its endpoints' current supernodes, at the edge's current
+    def _place_copies(self, eids: list[int], create) -> dict[int, int]:
+        """One DAG edge per edge of eids, between its endpoints' current
+        supernodes, in weight class _min_exp(skip) and at the edge's current
         length: create(specs) makes the DAG edges from their (tail, head,
         length, weight) specs and returns their ids in order.  Returns each
-        edge's {i: DAG edge id}."""
+        edge's DAG edge id."""
         g = self.graph.g
         clusters, cluster_of, length = self.clusters, self.cluster_of, self.length
-        top = self.max_exp + 1
-        weights = [1 << i for i in range(top)]
         specs: list[tuple[int, int, int, int]] = []
-        meta: list[tuple[int, int]] = []  # (edge, class) per spec
         for eid in eids:
             ru = clusters[cluster_of[g.tail[eid]]]
             rv = clusters[cluster_of[g.head[eid]]]
-            lo = _min_exp(_skip_between(ru, rv))
-            su, sv, ln = ru.sup, rv.sup, length[eid]
-            specs += [(su, sv, ln, w) for w in weights[lo:]]
-            meta += [(eid, i) for i in range(lo, top)]
+            specs.append((ru.sup, rv.sup, length[eid],
+                          1 << _min_exp(_skip_between(ru, rv))))
         created = create(specs)
-        self.dag_payload.update(zip(created, meta))
-        per: dict[int, dict[int, int]] = {eid: {} for eid in eids}
-        for (eid, i), deid in zip(meta, created):
-            per[eid][i] = deid
-        return per
+        self.residual_edge.update(zip(created, eids))
+        return dict(zip(eids, created))
 
     def _rehome(self, cid: int, new_cids: list[int]) -> None:
         """Split the supernodes of new_cids (ids dag.n, dag.n+1, ... in order)
         off cid's and give every edge that now crosses into or out of a new
-        cluster fresh DAG edges in place of its old ones."""
+        cluster a fresh DAG edge in place of its old one."""
         dag = self.dag
         if dag is None:
             raise AssertionError("contracted graph not built")
@@ -349,21 +325,29 @@ class RestrictedSssp:
         new_set = set(new_cids)
         touched = sorted({eid for v in verts for adj in (g.out_adj[v], g.in_adj[v])
                           for eid in adj})
-        moved = []
+        # skips may have grown for every edge touching the old cluster: raise
+        # classes in one batch before the split, so moved edges keep mirrors
+        raises, moved = [], []
         for eid in touched:
-            cu, cv = self.cluster_of[g.tail[eid]], self.cluster_of[g.head[eid]]
+            u, v = g.tail[eid], g.head[eid]
+            deid = self.dag_edge.get(eid)
+            if deid is not None:
+                weight = 1 << _min_exp(self._skip(u, v))
+                if weight > dag.weight[deid]:
+                    raises.append((deid, self.length[eid], weight))
+            cu, cv = self.cluster_of[u], self.cluster_of[v]
             if cu != cv and (cu in new_set or cv in new_set):
                 moved.append(eid)
+        if raises:
+            dag.increase_lengths(raises)
         old_sup = self.clusters[cid].sup
         fresh = self._place_copies(
             moved, lambda specs: dag.split_vertex(old_sup, new_sups, specs))
-        for eid, per in fresh.items():
-            for old_eid in self.copies.get(eid, {}).values():
-                dag.delete_edge(old_eid)
-            self.copies[eid] = per
-        # skips may have grown for every edge touching the old cluster
-        for eid in touched:
-            self._prune_edge(eid)
+        for eid, deid in fresh.items():
+            old = self.dag_edge.get(eid)
+            if old is not None:
+                dag.delete_edge(old)
+            self.dag_edge[eid] = deid
         if self.checked:
             dag.check_p1()
 
@@ -415,12 +399,9 @@ class RestrictedSssp:
 
     def _assemble(self, dag_path: list[int]):
         g = self.graph.g
-        hops: list[tuple[int, int]] = [
-            self.dag_payload[deid] for deid in dag_path
-        ]
         verts: list[int] = [S_ID]
         eids: list[int] = []
-        for j, (geid, _exp) in enumerate(hops):
+        for geid in map(self.residual_edge.__getitem__, dag_path):
             u, v = g.tail[geid], g.head[geid]
             if u != verts[-1]:
                 seg = self._cluster_route(verts[-1], u)
@@ -474,13 +455,14 @@ class RestrictedSssp:
             raise ValueError(f"edges {bad} were not on the last returned path")
         g = self.graph.g
         per_cluster: dict[int, list[int]] = {}
-        updates: list[tuple[int, int]] = []  # (DAG edge, new length), all classes
+        updates: list[tuple[int, int]] = []  # (DAG edge, new length)
         for c in copy_ids:
             eid = c // self.levels
             u, v = g.tail[eid], g.head[eid]
             self.length[eid] *= 2
-            updates += ((deid, self.length[eid])
-                        for deid in self.copies.get(eid, {}).values())
+            deid = self.dag_edge.get(eid)
+            if deid is not None:
+                updates.append((deid, self.length[eid]))
             if self.length[eid] // 2 < self.long_threshold <= self.length[eid]:
                 self.out_pairs[u].discard(v)
                 cu, cv = self.cluster_of[u], self.cluster_of[v]
@@ -532,12 +514,25 @@ class RestrictedSssp:
             raise AssertionError("source interval is not {0}")
         if not (t_rec.start == self.n - 1 and t_rec.size == 1):
             raise AssertionError("sink interval is not {n-1}")
-        # skip monotone, span monotone for right-to-left edges
-        g = self.graph.g
+        # skip monotone, span monotone for right-to-left edges; every crossing
+        # edge has exactly one live DAG edge, between its endpoints'
+        # supernodes, in class _min_exp(skip) and at the edge's current
+        # length, and a non-crossing edge has none
+        g, dag, clusters = self.graph.g, self.dag, self.clusters
         for eid, (u, v) in enumerate(zip(g.tail, g.head)):
-            if self.cluster_of[u] == self.cluster_of[v]:
+            deid = self.dag_edge.get(eid)
+            got = None if deid is None else (
+                dag.alive[deid], self.residual_edge[deid], dag.tail[deid],
+                dag.head[deid], dag.length[deid], dag.weight[deid])
+            ru, rv = clusters[self.cluster_of[u]], clusters[self.cluster_of[v]]
+            if ru is rv:
+                if got is not None:
+                    raise AssertionError(f"non-crossing edge {eid} has DAG edge {deid}")
                 continue
             sk = self._skip(u, v)
+            want = (True, eid, ru.sup, rv.sup, self.length[eid], 1 << _min_exp(sk))
+            if got != want:
+                raise AssertionError(f"edge {eid} has DAG edge {deid} = {got}, not {want}")
             if eid in self._skip_floor and sk < self._skip_floor[eid]:
                 raise AssertionError(f"skip decreased on edge {eid}")
             self._skip_floor[eid] = sk
@@ -546,8 +541,9 @@ class RestrictedSssp:
                 if eid in self._span_ceiling and sp > self._span_ceiling[eid]:
                     raise AssertionError(f"span increased on edge {eid}")
                 self._span_ceiling[eid] = sp
-        if self.dag is not None:
-            self.dag.check_p1()
+        if dag.live_m != len(self.dag_edge):
+            raise AssertionError("a live DAG edge stands for no crossing edge")
+        dag.check_p1()
 
 
 class ReferenceSssp:

@@ -291,16 +291,66 @@ def test_a_bad_update_rejects_the_whole_batch():
     e_direct = dag.add_edge(0, 2, 2, 1)
     dag.add_edge(0, 3, 2, 1)
     e_detour = dag.add_edge(3, 2, 2, 1)
-    e_out = dag.add_edge(2, 1, 2, 1)
+    e_out = dag.add_edge(2, 1, 2, 2)
     e_dead = dag.add_edge(3, 1, 9, 1)
     dag.finalize()
     dag.delete_edge(e_dead)
-    before = (list(dag.length), list(dag.est), list(dag.parent_edge))
-    # the good update comes first, so applying as it checks would show
-    for bad in [(e_dead, 18), (e_out, 1), (e_direct, 4)]:
+
+    def state():
+        return (list(dag.length), list(dag.weight), list(dag.lprime), list(dag.stale),
+                list(dag.est), list(dag.parent_edge),
+                [{c: set(b) for c, b in by.items()} for by in dag.out_by_class])
+
+    before = state()
+    too_heavy = 1 << (dag.max_class + 1)
+    # the good updates come first, so applying as it checks would show; a
+    # bad update makes a length or weight fall, or a weight that is not a
+    # power of two or is past max_class
+    for bad in [(e_dead, 18), (e_out, 1), (e_direct, 4), (e_out, 2, 1),
+                (e_out, 2, 3), (e_out, 2, too_heavy), (e_direct, 8, 0)]:
         with pytest.raises(ValueError):
-            dag.increase_lengths([(e_direct, 8), (e_detour, 2), bad])
-        assert (dag.length, dag.est, dag.parent_edge) == before
+            dag.increase_lengths([(e_direct, 8), (e_detour, 2, 4), bad])
+        assert state() == before
+
+
+def test_raised_class_moves_the_edge_and_its_key():
+    dag = make_dag(4, gamma=2)
+    e_a = dag.add_edge(0, 2, 1, 1)
+    e_b = dag.add_edge(0, 3, 1, 1)
+    e_c = dag.add_edge(3, 2, 1, 1)
+    dag.add_edge(2, 1, 1, 1)
+    dag.finalize()
+    assert dag.parent_edge[2] == e_a
+    dag.increase_lengths([(e_a, 1, 16)])
+    assert dag.weight[e_a] == 16 and dag.length[e_a] == 1
+    assert e_a in dag.out_by_class[0][4] and e_a not in dag.out_by_class[0][0]
+    assert e_b in dag.out_by_class[0][0]
+    assert dag.lprime[e_a] == dag.k * dag.k * dag.c2 + dag.k * dag.thresholds[4]
+    assert dag.stale[e_a] == dag.est[0]
+    # the heavier direct edge now costs more than the two-hop detour
+    assert dag.parent_edge[2] == e_c
+    with pytest.raises(ValueError):
+        dag.increase_lengths([(e_a, 1, 8)])  # classes never fall
+
+
+def test_raised_class_keeps_the_staleness_bound():
+    # T_1 = 2*T_0 - 1 here, so the class-1 blocks drift from the class-0
+    # ones: the estimate an edge last heard under class 0 can lie more than
+    # T_1 below its tail's estimate after later class-1 silence, unless the
+    # raise notifies the edge afresh (checked mode asserts the bound)
+    dag = DagSssp(s=0, t=1, d=3000, eps_inv=8, gamma=1, n_hint=64, checked=True)
+    for _ in range(4):
+        dag.add_vertex()
+    e_in = dag.add_edge(0, 2, 1, 1)
+    e_mid = dag.add_edge(2, 3, 1, 1)
+    dag.add_edge(3, 1, 1, 1)
+    dag.finalize()
+    assert dag.thresholds[1] == 2 * dag.thresholds[0] - 1
+    for ln in range(2, 100):
+        if ln == 78:
+            dag.increase_lengths([(e_mid, 1, 2)])
+        dag.increase_lengths([(e_in, ln)])
+    assert dag.weight[e_mid] == 2
 
 
 COPIES = 4
@@ -347,11 +397,23 @@ def test_increase_length_matches_deleting_the_cheapest_copy(data):
         same_state()
 
 
+def p1_holds_with(dag, weight_of, pairs):
+    """Whether the per-bucket degree property would hold with the mirror
+    edges in weight_of moved to the weights given."""
+    heads = {}
+    for de, me in pairs:
+        if dag.alive[de]:
+            w = weight_of.get(me, dag.weight[de])
+            heads.setdefault((dag.tail[de], w), set()).add(dag.head[de])
+    return all(len(hs) <= 4 * w for (_, w), hs in heads.items())
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_batched_length_increases_keep_the_invariants(data):
     # checked mode runs check_invariants (I1-I5) after every batch; a batch
-    # may lengthen an edge twice, or leave a length as it is
+    # may lengthen an edge twice, or leave a length as it is, and may raise
+    # weight classes, each edge's once or twice
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     n = data.draw(st.integers(3, 14))
     d = data.draw(st.sampled_from([6, 12, 30]))
@@ -378,14 +440,22 @@ def test_batched_length_increases_keep_the_invariants(data):
             dag.delete_edge(de)
             mirror.delete_edge(me)
         else:
-            updates, new_length = [], {}
+            updates, new_length, new_weight = [], {}, {}
             for de, me in rng.choices(live, k=rng.randint(1, 6)):
                 ln = new_length.get(me, dag.length[de])
                 new_length[me] = ln + rng.choice([0, 1, ln])
-                updates.append((de, new_length[me]))
+                w = new_weight.get(me, dag.weight[de]) << rng.choice([0, 0, 1, 2])
+                if w > mirror.weight[me] and w.bit_length() - 1 <= dag.max_class \
+                        and p1_holds_with(dag, {**new_weight, me: w}, pairs):
+                    new_weight[me] = w
+                    updates.append((de, new_length[me], w))
+                else:
+                    updates.append((de, new_length[me]))
             dag.increase_lengths(updates)
             for me, ln in new_length.items():
                 mirror.length[me] = ln
+            for me, w in new_weight.items():
+                mirror.weight[me] = w
         path = dag.path_query()
         if path is None:  # FAIL is legal only without a (d, Gamma)-feasible path
             assert not bicriteria_path_oracle(mirror, 0, 1, d, gamma)

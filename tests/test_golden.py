@@ -174,7 +174,7 @@ EXPECTED = {'driver': {'gnp-40/reference': {'size': 40,
                                       'over_2lam': 0,
                                       'cluster_queries': 0,
                                       'es_scans': 0,
-                                      'dag_work': 23710}},
+                                      'dag_work': 12469}},
             'cluster': {'answers': 'c42f9e0d741b3a28',
                         'n_answers': 16,
                         'cuts': 'cde572319fc1be3e',

@@ -117,27 +117,25 @@ def test_interval_bookkeeping_and_p1_after_lifecycle():
 
 
 def test_cluster_cut_translates_to_split():
+    # the cuts fire while the structure is built, before the contracted graph
+    # exists; dissolving the spawned cluster afterwards splits its supernode,
+    # and the edges it moves outgrow their weight classes
     rng = random.Random(6)
     g, h = near_complete_residual(rng, 66, 66, 0.12, leave=2)
     rs = RestrictedSssp(h, delta=2, m_param=h.g.live_m, checked=True)
+    assert rs.stats["splits"] == rs.stats["cuts"] > 0
     nonleaf = [cid for cid, rec in rs.clusters.items() if rec.state is not None]
     assert nonleaf, "expected a non-leaf root cluster at this scale"
     clusters_before = len([r for r in rs.clusters.values() if r.size > 0])
     sup_before = rs.dag.n
-    splits_before = rs.stats["splits"]
-    # force a rebuild-time split by deleting path edges until a cut fires
-    made_split = False
-    for _ in range(rs.delta):
-        res = rs.query()
-        if res is None:
-            break
-        rs.delete_path_edges(res[1])
-        if rs.stats["splits"] > splits_before:
-            made_split = True
-            break
-    if made_split:
-        assert rs.dag.n > sup_before
-        assert len([r for r in rs.clusters.values() if r.size > 0]) > clusters_before
+    weight_before = {eid: rs.dag.weight[deid] for eid, deid in rs.dag_edge.items()}
+    rs._dissolve(nonleaf[0])
+    rs.check_invariants()
+    assert rs.dag.n > sup_before
+    assert len([r for r in rs.clusters.values() if r.size > 0]) > clusters_before
+    assert any(rs.dag.weight[deid] > weight_before[eid]
+               for eid, deid in rs.dag_edge.items() if eid in weight_before)
+    assert len(drain(rs, h)) == 2
     rs.check_invariants()
 
 
@@ -219,6 +217,10 @@ def test_contracted_graph_is_built_in_one_batch_and_lengthened_once_per_path(mon
     g, h = near_complete_residual(random.Random(5), 12, 12, 0.3, leave=3)
     rs = RestrictedSssp(h, delta=3, m_param=h.g.live_m, checked=True)
     assert calls == {"add_edge": 0, "add_edges": 1, "increase_lengths": 0}
+    # one DAG edge per crossing residual edge, whatever its skip
+    crossing = [eid for eid in h.g.live_edges()
+                if rs.cluster_of[h.g.tail[eid]] != rs.cluster_of[h.g.head[eid]]]
+    assert len(rs.dag.tail) == len(crossing)
     paths = drain(rs, h)
     assert len(paths) == 3
     assert calls == {"add_edge": 0, "add_edges": 1, "increase_lengths": 3}
