@@ -244,5 +244,7 @@ def doubling_levels(lam: int) -> int:
 
     Copy j has length 2^j, for j up to the smallest power of two N' above
     8*lam, so a scaled length of 8*lam is MWU length 1 and the top copy
-    never fits a path.  Copy j of residual edge eid has id eid*levels + j."""
+    never fits a path.  Only the test oracle mwu.build_doubling_graph
+    materialises the copies, giving copy j of residual edge eid the id
+    eid*levels + j; the backends keep one current length per edge."""
     return next_pow2(8 * lam + 1).bit_length()

@@ -371,8 +371,11 @@ def matching_player(
     at most 2n/d' edges with both sides of size >= z.  Lengths follow the
     multiplicative doubling scheme over an implicit d'-fold parallel graph,
     tracked as per-special-edge exponent histograms; the oracle is a
-    depth-bounded decremental shortest-path tree on an auxiliary graph whose
-    parallel copies have lengths 1, 2, 4, ...
+    depth-bounded decremental shortest-path tree on an auxiliary graph with
+    one edge per live core edge, source edge and sink edge, each at its
+    cheapest copy's length: 2^j for a special edge whose lowest populated
+    level is j and for the core edges into its tail, 2^j + 1 for the source
+    edge into its tail.
     """
     if len(side_a) != len(side_b) or set(side_a) & set(side_b):
         raise ValueError("A and B must be disjoint and of equal size")
@@ -419,15 +422,17 @@ def matching_player(
     s_node = core.n
     t_node = core.n + 1
     h_edges: list[tuple[int, int, int]] = []
-    h_kind: list[tuple[str, int, int]] = []  # (kind, core_eid, level)
-    by_spec_level: dict[tuple[int, int], list[int]] = {}
+    h_kind: list[tuple[str, int]] = []  # (kind, core_eid)
+    # special edge -> its tree edge and the tree edges into its tail, which
+    # all sit at its lowest populated level
+    mirrors: dict[int, list[int]] = {}
 
-    def push(u, v, ln, kind, ce, level, spec=None):
+    def push(u, v, ln, kind, ce, spec=None):
         hid = len(h_edges)
         h_edges.append((u, v, ln))
-        h_kind.append((kind, ce, level))
+        h_kind.append((kind, ce))
         if spec is not None:
-            by_spec_level.setdefault((spec, level), []).append(hid)
+            mirrors.setdefault(spec, []).append(hid)
         return hid
 
     for eid in core.live_edges():
@@ -435,29 +440,21 @@ def matching_player(
         if u not in live_set or v not in live_set:
             continue
         if core.is_special(eid):
-            for j in range(q + 1):
-                push(u, v, 2**j, "spec", eid, j, spec=eid)
+            push(u, v, 1, "spec", eid, spec=eid)
         else:
             sp = spec_of_tail.get(v)
-            if sp is not None:
-                for j in range(q + 1):
-                    push(u, v, 2**j, "reg_mirror", eid, j, spec=sp)
-            else:
-                push(u, v, 1, "reg_plain", eid, 0)
-    s_edge_of: dict[int, list[int]] = {}
+            push(u, v, 1, "reg_mirror" if sp is not None else "reg_plain", eid, spec=sp)
+    s_edge_of: dict[int, int] = {}
     for a in sorted(a_left):
         sp = spec_of_tail.get(a)
         if sp is not None:
-            s_edge_of[a] = [
-                push(s_node, a, 2**j + 1, "s_mirror", -1, j, spec=sp)
-                for j in range(q + 1)
-            ]
+            s_edge_of[a] = push(s_node, a, 2, "s_mirror", -1, spec=sp)
         else:
-            s_edge_of[a] = [push(s_node, a, 1, "s_plain", -1, 0)]
+            s_edge_of[a] = push(s_node, a, 1, "s_plain", -1)
     t_edge_of: dict[int, int] = {}
     for b in sorted(b_left):
         ln = 2 if core.side[b] == "L" else 1
-        t_edge_of[b] = push(b, t_node, ln, "t_edge", -1, 0)
+        t_edge_of[b] = push(b, t_node, ln, "t_edge", -1)
 
     tree = EsTree(core.n + 2, h_edges, s_node, 2 * d_prime + 3)
     q2: list[tuple[list[int], list[int]]] = []
@@ -471,26 +468,32 @@ def matching_player(
         if a_end not in a_left or b_end not in b_left:
             raise AssertionError("tree path ends at an already routed vertex")
         core_eids = []
-        to_kill: list[int] = []
+        to_kill = [s_edge_of[a_end], t_edge_of[b_end]]
+        raised: list[tuple[int, int]] = []
         for hid in h_path:
-            kind, ce, j = h_kind[hid]
+            kind, ce = h_kind[hid]
             if kind in ("spec", "reg_mirror", "reg_plain"):
                 core_eids.append(ce)
             if kind == "spec":
+                # the tree edge stands for the cheapest live copy, at level j
+                j = tree.length[hid].bit_length() - 1
                 counts = level_count[ce]
                 if counts[j] <= 0:
                     raise AssertionError("path used an unpopulated copy")
                 counts[j] -= 1
                 if j + 1 <= q:
                     counts[j + 1] += 1
-                if counts[j] == 0:
-                    to_kill.extend(by_spec_level.get((ce, j), []))
+                if counts[j] == 0 and j + 1 <= q:
+                    raised += [(h, 2 ** (j + 1) + (h_kind[h][0] == "s_mirror"))
+                               for h in mirrors[ce]]
+                elif counts[j] == 0:
+                    to_kill += mirrors[ce]
         q2.append((verts[1:-1], core_eids))
         a_left.discard(a_end)
         b_left.discard(b_end)
-        to_kill.extend(s_edge_of[a_end])
-        to_kill.append(t_edge_of[b_end])
-        tree.delete_edges([h for h in to_kill if tree.alive[h]])
+        # a's source edge may also mirror a special edge whose top level ran out
+        tree.delete_edges([h for h in dict.fromkeys(to_kill) if tree.alive[h]])
+        tree.increase_lengths([(h, ln) for h, ln in raised if tree.alive[h]])
 
     paths = q1 + q2
     if len(paths) >= n_half - z:

@@ -114,16 +114,12 @@ class DirectedGraph:
         self.alive: list[bool] = []
         self.out_adj: list[list[int]] = [[] for _ in range(n)]
         self.in_adj: list[list[int]] = [[] for _ in range(n)]
-        self.live_out: list[int] = [0] * n
-        self.live_in: list[int] = [0] * n
         self.live_m = 0
         DirectedGraph.add_edges(self, tail, head, length)
 
     def add_vertex(self) -> int:
         self.out_adj.append([])
         self.in_adj.append([])
-        self.live_out.append(0)
-        self.live_in.append(0)
         self.vertex_alive.append(True)
         self.live_n += 1
         self.n += 1
@@ -140,8 +136,6 @@ class DirectedGraph:
         self.alive.append(True)
         self.out_adj[u].append(eid)
         self.in_adj[v].append(eid)
-        self.live_out[u] += 1
-        self.live_in[v] += 1
         self.live_m += 1
         return eid
 
@@ -171,15 +165,9 @@ class DirectedGraph:
         self.length += length
         self.weight += weight
         self.alive += [True] * k
-        for adj, live, ends in ((self.out_adj, self.live_out, tail),
-                                (self.in_adj, self.live_in, head)):
+        for adj, ends in ((self.out_adj, tail), (self.in_adj, head)):
             for eid, x in enumerate(ends, m):
                 adj[x].append(eid)
-            if m == 0:  # every list was empty: live degrees are list lengths
-                live[:] = map(len, adj)
-            else:
-                for x in ends:
-                    live[x] += 1
         self.live_m += k
         return range(m, m + k)
 
@@ -187,8 +175,6 @@ class DirectedGraph:
         if not self.alive[eid]:
             raise ValueError(f"edge {eid} already deleted")
         self.alive[eid] = False
-        self.live_out[self.tail[eid]] -= 1
-        self.live_in[self.head[eid]] -= 1
         self.live_m -= 1
 
     def delete_vertex(self, v: int) -> None:

@@ -2,13 +2,13 @@
 
 Each residual edge stands for parallel copies of lengths 1, 2, 4, ... (the
 length-doubling dual exposed as deletions: using an edge deletes its
-cheapest surviving copy, so its length doubles).  Copy j of edge eid has id
-eid*levels + j.  Both backends keep the copies implicit and never write
-to the residual graph.  A restricted-SSSP backend supplies s-t paths of
-scaled length at most 8*lambda until it legally fails, at which point the
-collected paths are returned.  With a contract-conforming backend the
-collection has size at least Delta/(128*log2 m) and no edge appears on more
-than ceil(log2 m) paths.
+cheapest surviving copy, so its length doubles).  Both backends keep the
+copies implicit as one current length per residual edge, speak residual
+edge ids, and never write to the residual graph.  A restricted-SSSP backend
+supplies s-t paths of scaled length at most 8*lambda until it legally fails,
+at which point the collected paths are returned.  With a
+contract-conforming backend the collection has size at least
+Delta/(128*log2 m) and no edge appears on more than ceil(log2 m) paths.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def build_doubling_graph(h: WellStructuredGraph, lam: int) -> WellStructuredGrap
     edge eid with length 2^j and id eid*levels + j.
 
     The pipeline never builds it; it is the materialised oracle that tests
-    run the implicit copies of both backends against."""
+    run the implicit lengths of both backends against."""
     levels = doubling_levels(lam)
     hat = WellStructuredGraph(h.n_left, h.n_right, size_m=max(2, h.g.live_m))
     for eid in h.g.live_edges():
@@ -56,7 +56,7 @@ def mwu_run(h: WellStructuredGraph, delta: int, backend: str = "reference",
     cnst = cnst or Constants.desk()
     m = h.g.live_m
     if m != len(h.g.tail):
-        raise ValueError("the residual graph has deleted edges; copy ids need a fresh one")
+        raise ValueError("the residual graph has deleted edges; the backends need a fresh one")
     if m < 2:
         return MwuResult([], [], {}, lam=1, m=max(2, m), warned_no_path=True)
     gate = cnst.mwu_gate(m)
@@ -65,7 +65,6 @@ def mwu_run(h: WellStructuredGraph, delta: int, backend: str = "reference",
             f"Delta={delta} below the configured MWU gate {gate}; use the exact fallback"
         )
     lam = mwu_lambda(m, delta)
-    levels = doubling_levels(lam)
     delta_eff = min(delta, h.n)
     backends = {"reference": ReferenceSssp, "full": RestrictedSssp}
     if backend not in backends:
@@ -81,13 +80,8 @@ def mwu_run(h: WellStructuredGraph, delta: int, backend: str = "reference",
         res = sssp.query()
         if res is None:
             break
-        verts, copy_ids = res
-        res_edges = []
-        total = 0
-        for c in copy_ids:
-            eid, j = divmod(c, levels)
-            res_edges.append(eid)
-            total += 1 << j
+        verts, res_edges = res
+        total = sum(sssp.length[e] for e in res_edges)
         if total > budget:
             raise AssertionError(f"backend returned a path of length {total} > 8*lambda")
         for eid in res_edges:
@@ -98,7 +92,7 @@ def mwu_run(h: WellStructuredGraph, delta: int, backend: str = "reference",
                 )
         paths.append(res_edges)
         vertex_paths.append(verts)
-        sssp.delete_path_edges(copy_ids)
+        sssp.delete_path_edges(res_edges)
     return MwuResult(
         paths=paths,
         vertex_paths=vertex_paths,

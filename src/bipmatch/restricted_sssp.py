@@ -21,9 +21,10 @@ deleted.  Two implementations share the interface:
   tests.
 
 Both take the residual graph and lambda and keep its doubling graph
-implicit: copy j of edge eid, of length 2^j, has id eid*levels + j.  Only
-the cheapest live copy matters, so each keeps one current length per edge,
-which doubles when the edge is used.  Neither writes to the residual graph.
+implicit: only the cheapest live copy of an edge matters, so each keeps one
+current length per residual edge, exposed as `length`, which doubles when
+the edge is used.  Paths come back, and are deleted, as residual edge ids.
+Neither writes to the residual graph.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .constants import Constants, doubling_levels, log2c, raw_lambda
+from .constants import Constants, log2c, raw_lambda
 from .dag_sssp import DagSssp
 from .es_tree import EsTree
 from .graph_core import CoreGraph, WellStructuredGraph, S_ID, T_ID
@@ -81,7 +82,6 @@ class RestrictedSssp:
         self.cnst = cnst or Constants.desk()
         self.checked = checked
         self.lam = lam if lam is not None else raw_lambda(self.m_param, delta)
-        self.levels = doubling_levels(self.lam)
         # each edge's current (cheapest live copy's) length; h is never written
         self.length = list(g.length)
         self._validate_lengths()
@@ -272,7 +272,7 @@ class RestrictedSssp:
         crossing = [eid for eid in range(len(g.tail))
                     if self.cluster_of[g.tail[eid]] != self.cluster_of[g.head[eid]]]
         self.residual_edge: dict[int, int] = {}  # DAG edge -> residual edge
-        self.dag_edge = self._place_copies(crossing, dag.add_edges)
+        self.dag_edge = self._place_dag_edges(crossing, dag.add_edges)
         dag.finalize()
         self.dag = dag
 
@@ -291,7 +291,7 @@ class RestrictedSssp:
             return u_hi - v_lo
         return 0
 
-    def _place_copies(self, eids: list[int], create) -> dict[int, int]:
+    def _place_dag_edges(self, eids: list[int], create) -> dict[int, int]:
         """One DAG edge per edge of eids, between its endpoints' current
         supernodes, in weight class _min_exp(skip) and at the edge's current
         length: create(specs) makes the DAG edges from their (tail, head,
@@ -341,7 +341,7 @@ class RestrictedSssp:
         if raises:
             dag.increase_lengths(raises)
         old_sup = self.clusters[cid].sup
-        fresh = self._place_copies(
+        fresh = self._place_dag_edges(
             moved, lambda specs: dag.split_vertex(old_sup, new_sups, specs))
         for eid, deid in fresh.items():
             old = self.dag_edge.get(eid)
@@ -360,10 +360,6 @@ class RestrictedSssp:
                 rec.state.flush_rebuild()
                 self._retire(cid)
         self._resolve_pending()
-
-    def _cheapest_copy(self, u: int, v: int) -> int:
-        eid = self.pair_eid[(u, v)]
-        return eid * self.levels + self.length[eid].bit_length() - 1
 
     def query(self):
         """Simple s-t path as (vertices, edge ids) with total length <= 8*lam,
@@ -387,13 +383,13 @@ class RestrictedSssp:
                 continue  # a cluster was dissolved; re-query the contracted graph
             self.queries_done += 1
             self.stats["queries"] += 1
-            verts, copies = result
-            total = sum(1 << (c % self.levels) for c in copies)
+            verts, eids = result
+            total = sum(self.length[e] for e in eids)
             if total > 8 * self.lam:
                 raise AssertionError(f"assembled path length {total} > 8*lambda")
             if total > 2 * self.lam:
                 self.stats["over_2lam"] += 1
-            self.last_path = set(copies)
+            self.last_path = set(eids)
             return result
         raise ClusterContractError("query retries exhausted")
 
@@ -402,17 +398,15 @@ class RestrictedSssp:
         verts: list[int] = [S_ID]
         eids: list[int] = []
         for geid in map(self.residual_edge.__getitem__, dag_path):
-            u, v = g.tail[geid], g.head[geid]
+            u = g.tail[geid]
             if u != verts[-1]:
-                seg = self._cluster_route(verts[-1], u)
-                vs, es = seg
+                vs, es = self._cluster_route(verts[-1], u)
                 if vs[0] != verts[-1] or vs[-1] != u:
                     raise AssertionError("cluster route does not join the hop endpoints")
                 verts.extend(vs[1:])
                 eids.extend(es)
-            chosen = self._cheapest_copy(u, v)
-            verts.append(v)
-            eids.append(chosen)
+            verts.append(g.head[geid])
+            eids.append(geid)
         if verts[-1] != T_ID:
             raise AssertionError("assembled path does not end at the sink")
         if len(set(verts)) != len(verts):
@@ -436,10 +430,7 @@ class RestrictedSssp:
             self._dissolve(cid)
             raise
         gverts = [rec.local2global[i] for i in lverts]
-        geids = []
-        for a, b in zip(gverts, gverts[1:]):
-            geids.append(self._cheapest_copy(a, b))
-        return gverts, geids
+        return gverts, [self.pair_eid[pair] for pair in zip(gverts, gverts[1:])]
 
     def _dissolve(self, cid: int) -> None:
         """Emergency fallback: split a misbehaving cluster into singletons."""
@@ -449,15 +440,14 @@ class RestrictedSssp:
 
     # --------------------------------------------------------------- deletion
 
-    def delete_path_edges(self, copy_ids: list[int]) -> None:
-        bad = [c for c in copy_ids if c not in self.last_path]
+    def delete_path_edges(self, eids: list[int]) -> None:
+        bad = [e for e in eids if e not in self.last_path]
         if bad:
             raise ValueError(f"edges {bad} were not on the last returned path")
         g = self.graph.g
         per_cluster: dict[int, list[int]] = {}
         updates: list[tuple[int, int]] = []  # (DAG edge, new length)
-        for c in copy_ids:
-            eid = c // self.levels
+        for eid in eids:
             u, v = g.tail[eid], g.head[eid]
             self.length[eid] *= 2
             deid = self.dag_edge.get(eid)
@@ -474,7 +464,7 @@ class RestrictedSssp:
                         ]
                         per_cluster.setdefault(cu, []).append(le)
         self.dag.increase_lengths(updates)
-        self.last_path -= set(copy_ids)
+        self.last_path -= set(eids)
         for cid in sorted(per_cluster):
             rec = self.clusters[cid]
             if rec.state is None:
@@ -551,10 +541,10 @@ class ReferenceSssp:
     8*lambda.  Meets the restricted-SSSP contract exactly.
 
     One Even-Shiloach tree rooted at s, depth bound 8*lambda, holds the
-    residual edges, each at its cheapest copy's length.  Equal-length copies
-    compare as their edges do, so the tree's smallest-id parents give the
-    same (verts, copy ids) as a Dijkstra over every copy that keeps the
-    least (dist, copy id).
+    residual edges, each at its cheapest copy's length.  Copies of one edge
+    have consecutive ids in the materialised doubling graph, so the tree's
+    smallest-id parents pick the same edges as a Dijkstra over every copy
+    that keeps the least (dist, copy id).
 
     The backend reads the graph once, so it must have no deleted edges then
     and stay as it is: a query raises ValueError if edges were added or
@@ -567,7 +557,6 @@ class ReferenceSssp:
         self.graph = graph
         self.delta = delta
         self.lam = lam if lam is not None else raw_lambda(max(2, m_param), delta)
-        self.levels = doubling_levels(self.lam)
         self.queries_done = 0
         self.failed = False
         self.last_path: set[int] = set()
@@ -578,6 +567,7 @@ class ReferenceSssp:
         self._edges_built = len(g.tail)
         self.tree = EsTree(g.n, [(g.tail[e], g.head[e], 1) for e in range(len(g.tail))],
                            S_ID, 8 * self.lam)
+        self.length = self.tree.length  # each edge's current length
 
     def query(self):
         if self.failed:
@@ -595,20 +585,17 @@ class ReferenceSssp:
             self.stats["fails"] += 1
             return None
         verts = [S_ID] + [tree.head[e] for e in eids]
-        copies = [e * self.levels + tree.length[e].bit_length() - 1 for e in eids]
         self.queries_done += 1
         self.stats["queries"] += 1
-        self.last_path = set(copies)
-        return verts, copies
+        self.last_path = set(eids)
+        return verts, eids
 
-    def delete_path_edges(self, copy_ids: list[int]) -> None:
-        bad = [c for c in copy_ids if c not in self.last_path]
+    def delete_path_edges(self, eids: list[int]) -> None:
+        bad = [e for e in eids if e not in self.last_path]
         if bad:
             raise ValueError(f"edges {bad} were not on the last returned path")
-        length = self.tree.length
-        self.tree.increase_lengths([(c // self.levels, 2 * length[c // self.levels])
-                                    for c in copy_ids])
-        self.last_path -= set(copy_ids)
+        self.tree.increase_lengths([(e, 2 * self.length[e]) for e in eids])
+        self.last_path -= set(eids)
 
     def work_counters(self) -> dict:
         return {"es_scans": self.tree.scan_steps}

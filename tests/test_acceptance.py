@@ -288,9 +288,10 @@ def test_criterion_6_expander_construction():
         g = construct_expander(n, CN)
         sparsity = enumerate_all_cuts_sparsity(g)
         assert sparsity >= CN.alpha0, f"n={n}: {sparsity} < {CN.alpha0}"
+        assert g.live_m == len(g.tail)  # no deleted edges: lists are degrees
         for v in range(n):
-            assert g.live_out[v] <= CN.degree_bound
-            assert g.live_in[v] <= CN.degree_bound
+            assert len(g.out_adj[v]) <= CN.degree_bound
+            assert len(g.in_adj[v]) <= CN.degree_bound
     report("6 expander construction",
            f"n=2..14 exhaustive, expansion >= {CN.alpha0}, degree <= {CN.degree_bound}")
 

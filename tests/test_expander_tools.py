@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from bipmatch import expander_tools
 from bipmatch.constants import log2c
 from bipmatch.expander_tools import (Cut, ball_grow, chain_to_balanced,
                                      construct_expander, cut_player, embed_or_cut,
@@ -35,7 +36,8 @@ def test_expander_n9_is_bidirected_base(cnst):
     g = construct_expander(9, cnst)
     pairs = {(g.tail[e], g.head[e]) for e in g.live_edges()}
     assert all((v, u) in pairs for u, v in pairs)
-    assert all(g.live_out[v] <= 8 and g.live_in[v] <= 8 for v in range(9))
+    assert g.live_m == len(g.tail)  # no deleted edges: lists are degrees
+    assert all(len(g.out_adj[v]) <= 8 and len(g.in_adj[v]) <= 8 for v in range(9))
     assert enumerate_all_cuts_sparsity(g) >= cnst.alpha0
 
 
@@ -48,9 +50,10 @@ def test_expander_range_expansion_and_degree(cnst):
     for n in range(2, 15):
         g = construct_expander(n, cnst)
         assert enumerate_all_cuts_sparsity(g) >= cnst.alpha0
+        assert g.live_m == len(g.tail)  # no deleted edges: lists are degrees
         for v in range(n):
-            assert g.live_out[v] <= cnst.degree_bound
-            assert g.live_in[v] <= cnst.degree_bound
+            assert len(g.out_adj[v]) <= cnst.degree_bound
+            assert len(g.in_adj[v]) <= cnst.degree_bound
 
 
 def test_expander_rejects_tiny(cnst):
@@ -292,6 +295,52 @@ def test_matching_player_random_postconditions(cnst):
             assert recount(edges, res) == res.crossing
             assert res.crossing <= 2 * n_game / d_prime
             assert len(res.a) >= z and len(res.b) >= z
+
+
+def bottleneck_core(k):
+    """a_0..a_{k-1} -> r -> l -> b_0..b_{k-1}: every route from A to B takes
+    the one special edge r -> l.  L is a_0..a_{k-1}, l; R is r, b_0..b_{k-1}."""
+    l_node, r_node = k, k + 1
+    core = CoreGraph(2 * k + 2, ["L"] * (k + 1) + ["R"] * (k + 1))
+    for a in range(k):
+        core.add_edge(a, r_node)
+    core.add_edge(r_node, l_node)
+    for b in range(k + 2, 2 * k + 2):
+        core.add_edge(l_node, b)
+    return core, list(range(k)), list(range(k + 2, 2 * k + 2))
+
+
+def test_matching_player_runs_out_the_top_copy(cnst, monkeypatch):
+    # d'=4 gives q=2: the special edge carries d' copies at each of the levels
+    # 0..q in turn, so d'(q+1) = 12 routes use it up.  The tree holds one edge
+    # per core, source and sink edge, raised in place while a level lasts.
+    sizes = []
+
+    class SizedTree(expander_tools.EsTree):
+        def __init__(self, n, edges, root, depth):
+            sizes.append(len(edges))
+            super().__init__(n, edges, root, depth)
+
+    monkeypatch.setattr(expander_tools, "EsTree", SizedTree)
+    core, a, b = bottleneck_core(13)
+    kind, res = matching_player(core, a, b, d_prime=4, z=1, cnst=cnst)
+    assert kind == "paths"
+    assert len(res.paths) == 12 and res.congestion == 12
+    assert sizes == [13 + 1 + 13 + 13 + 13]
+    core, a, b = bottleneck_core(16)
+    kind, res = matching_player(core, a, b, d_prime=4, z=1, cnst=cnst)
+    assert kind == "cut"
+    assert res.a == [12, 13, 14, 15, 17] and res.crossing == 1
+
+
+def test_matching_player_source_edge_dies_with_the_top_copy(cnst):
+    # r is in A and routed last, on the route that runs out the top copy: its
+    # source edge is both a routed endpoint's and a mirror of r -> l, and is
+    # deleted once
+    core, a, b = bottleneck_core(12)
+    kind, res = matching_player(core, a[:11] + [13], b, d_prime=4, z=1, cnst=cnst)
+    assert kind == "paths"
+    assert [vs[0] for vs, _ in res.paths] == a[:11] + [13]
 
 
 # ----------------------------------------------------------------- cut player

@@ -37,7 +37,7 @@ def test_gate_rejects_small_delta(cnst):
 
 
 def test_rejects_residual_with_deleted_edges(cnst):
-    # copy ids are eid*levels + j, so edge ids must run without gaps
+    # the backends read the graph once and keep one length per edge id
     h = disjoint_paths_residual(40)
     h.g.delete_edge(0)
     with pytest.raises(ValueError, match="deleted edges"):
@@ -104,17 +104,26 @@ def test_full_backend_leaves_the_residual_graph_intact(cnst):
 
 
 def test_no_library_module_builds_a_doubling_graph():
-    # both backends keep the copies implicit; the materialised doubling
-    # graph is an oracle for tests only
-    calls = []
+    # both backends and the matching player keep the copies implicit; the
+    # materialised doubling graph, and the copy count doubling_levels gives
+    # it, are an oracle for tests only
+    calls, level_uses = [], []
     for path in sorted(Path(bipmatch.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        oracle = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "build_doubling_graph"
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name == "build_doubling_graph":
                     calls.append(f"{path.name}:{node.lineno}")
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name == "doubling_levels" and id(node) not in oracle:
+                level_uses.append(f"{path.name}:{node.lineno}")
     assert not calls, "doubling graph built in " + ", ".join(calls)
+    assert not level_uses, "doubling_levels used in " + ", ".join(level_uses)
 
 
 def test_yield_floor_on_random_instances(cnst):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipmatch.constants import Constants, mwu_lambda
+from bipmatch.constants import Constants, doubling_levels, mwu_lambda
 from bipmatch.dag_sssp import DagSssp
 from bipmatch.graph_core import (BipartiteGraph, Matching, S_ID, T_ID,
                                  WellStructuredGraph, residual_graph)
@@ -39,10 +39,9 @@ def near_complete_residual(rng, nl, nr, p, leave=2):
 def drain(sssp, h):
     """Query and delete until FAIL or the budget, checking each path in h.
 
-    Both backends return copy ids eid*levels + j, the copy of h's edge eid
-    with length 2^j.  It is the cheapest live copy: j is log2 of eid's
-    initial length plus the times eid was used before."""
-    levels = sssp.levels
+    Both backends return edge ids of h.  Before the path is deleted, each
+    edge's length is its cheapest live copy's: its initial length doubled
+    once for every earlier use."""
     uses = {}
     paths = []
     while sssp.queries_done < sssp.delta:
@@ -52,13 +51,11 @@ def drain(sssp, h):
         verts, eids = res
         assert verts[0] == S_ID and verts[-1] == T_ID
         assert len(set(verts)) == len(verts)
-        edges = [divmod(c, levels) for c in eids]
-        assert [(h.g.tail[e], h.g.head[e]) for e, _ in edges] == list(zip(verts, verts[1:]))
-        for e, j in edges:
-            assert j == h.g.length[e].bit_length() - 1 + uses.get(e, 0)
-            assert j < levels
+        assert [(h.g.tail[e], h.g.head[e]) for e in eids] == list(zip(verts, verts[1:]))
+        for e in eids:
+            assert sssp.length[e] == h.g.length[e] << uses.get(e, 0)
             uses[e] = uses.get(e, 0) + 1
-        assert sum(1 << j for _, j in edges) <= 8 * sssp.lam
+        assert sum(sssp.length[e] for e in eids) <= 8 * sssp.lam
         paths.append((verts, eids))
         sssp.delete_path_edges(eids)
     return paths
@@ -237,6 +234,17 @@ def test_query_raises_contract_error_when_retries_run_out(monkeypatch):
         rs.query()
 
 
+def delete_cheapest_copies(hat, lam, sssp, eids):
+    """Delete from the materialised doubling graph the cheapest live copy of
+    each edge of eids, after checking it has the edge's length in sssp.
+    Copy j of edge eid has id eid*levels + j and length 2^j."""
+    levels = doubling_levels(lam)
+    for e in eids:
+        c = next(c for c in range(e * levels, (e + 1) * levels) if hat.g.alive[c])
+        assert hat.g.length[c] == sssp.length[e]
+        hat.g.delete_edge(c)
+
+
 def test_reference_fail_legality():
     rng = random.Random(8)
     g, h = near_complete_residual(rng, 12, 12, 0.4, leave=2)
@@ -247,9 +255,8 @@ def test_reference_fail_legality():
         if res is None:
             assert dijkstra(hat.g, S_ID)[T_ID] > 8 * ref.lam
             break
+        delete_cheapest_copies(hat, ref.lam, ref, res[1])
         ref.delete_path_edges(res[1])
-        for c in res[1]:
-            hat.g.delete_edge(c)
 
 
 def test_delete_requires_membership_in_last_path():
@@ -257,7 +264,7 @@ def test_delete_requires_membership_in_last_path():
     rs = RestrictedSssp(h, delta=4, m_param=h.g.live_m)
     res = rs.query()
     assert res is not None
-    outside = [e * rs.levels for e in h.g.live_edges() if e * rs.levels not in res[1]]
+    outside = [e for e in h.g.live_edges() if e not in res[1]]
     with pytest.raises(ValueError):
         rs.delete_path_edges([outside[0]])
 
@@ -347,16 +354,21 @@ def test_reference_matches_every_copy_dijkstra(data):
         h.add_edge(u, v)
     lam = data.draw(st.integers(1, 3))
     ref = ReferenceSssp(h, delta=40, m_param=h.g.live_m, lam=lam)
-    # the oracle runs over the materialised copies, deleting each one returned
+    # the oracle runs over the materialised copies, deleting each one it
+    # returns; copy c is one of edge c // levels, with length hat.g.length[c]
     hat = build_doubling_graph(h, lam)
+    levels = doubling_levels(lam)
     while ref.queries_done < ref.delta:
         want = every_copy_dijkstra(hat.g, 8 * lam)
         got = ref.query()
-        assert got == want
+        assert (got is None) == (want is None)
         if got is None:
             break
+        assert got[0] == want[0]
+        assert ([(e, ref.length[e]) for e in got[1]]
+                == [(c // levels, hat.g.length[c]) for c in want[1]])
         ref.delete_path_edges(got[1])
-        for c in got[1]:
+        for c in want[1]:
             hat.g.delete_edge(c)
 
 
