@@ -133,8 +133,7 @@ def disjoint_paths(h: WellStructuredGraph, eids) -> list[list[int]]:
     The offered edges are indexed per vertex once per call, so a phase
     costs O(offered edges), not O(edges of h).
     """
-    g = h.g
-    tail, head = g.tail, g.head
+    tail, head = h.tail, h.head
     flow = [-1] * len(tail)  # -1: not offered
     offered = []
     for eid in eids:
@@ -142,8 +141,8 @@ def disjoint_paths(h: WellStructuredGraph, eids) -> list[list[int]]:
             flow[eid] = 0
             offered.append(eid)
     offered.sort()
-    out_of: list[list[int]] = [[] for _ in range(g.n)]
-    in_of: list[list[int]] = [[] for _ in range(g.n)]
+    out_of: list[list[int]] = [[] for _ in range(h.n)]
+    in_of: list[list[int]] = [[] for _ in range(h.n)]
     for eid in offered:
         out_of[tail[eid]].append(eid)
         in_of[head[eid]].append(eid)
@@ -154,7 +153,7 @@ def disjoint_paths(h: WellStructuredGraph, eids) -> list[list[int]]:
             break
         # ptr[u]: u's current arc, an index into out_of[u] + in_of[u]; no
         # arc before it starts a shortest path to t in this phase any more
-        ptr = [0] * g.n
+        ptr = [0] * h.n
         stack, arcs = [S_ID], []  # the search path and its edges
         augmented = False
         while stack:
@@ -196,7 +195,7 @@ def disjoint_paths(h: WellStructuredGraph, eids) -> list[list[int]]:
 
     # the decomposition: each walk leaves a vertex by its next flow edge in
     # id order; nxt[u] indexes out_of[u]
-    nxt = [0] * g.n
+    nxt = [0] * h.n
     paths: list[list[int]] = []
     for e in out_of[S_ID]:
         if flow[e] != 1:
@@ -227,7 +226,7 @@ def round_to_disjoint(h: WellStructuredGraph, path_edge_lists: list[list[int]]
     usage: dict[int, int] = {}
     for pe in path_edge_lists:
         for eid in pe:
-            if not h.g.alive[eid]:
+            if not h.alive[eid]:
                 raise ValueError(f"path edge {eid} is not alive in the host graph")
             usage[eid] = usage.get(eid, 0) + 1
     eta = max(usage.values())
@@ -272,8 +271,8 @@ def max_matching(g: BipartiteGraph, cfg: DriverConfig | None = None
                 or delta_hat < cnst.mwu_gate(m)):
             break
         h = residual_graph(g, matching)
-        if h.g.live_m != m:
-            raise AssertionError(f"residual graph has {h.g.live_m} edges, expected {m}")
+        if h.live_m != m:
+            raise AssertionError(f"residual graph has {h.live_m} edges, expected {m}")
         t0 = time.perf_counter()
         try:
             result = mwu_run(h, delta_hat, backend=cfg.backend, cnst=cnst,
@@ -305,7 +304,7 @@ def max_matching(g: BipartiteGraph, cfg: DriverConfig | None = None
     # finishing step: one maximum flow over every live residual edge
     if len(matching) < cap:
         h = residual_graph(g, matching)
-        paths = disjoint_paths(h, h.g.live_edges())[:cap - len(matching)]
+        paths = disjoint_paths(h, h.live_edges())[:cap - len(matching)]
         matching = augment(g, matching, paths)
         report.exact_augmentations += len(paths)
 

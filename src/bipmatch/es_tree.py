@@ -1,13 +1,14 @@
 """Decremental single-source shortest-path tree for weighted directed graphs.
 
-Maintains exact distances from a root up to a depth bound d under edge
-deletions and edge length increases; levels are monotone non-decreasing.
-Repair uses the classic per-vertex scan pointer: an orphaned vertex resumes
-scanning its in-edges for a parent realizing its current level, and only
-when the pointer wraps does it recompute its level from scratch and cascade
-to its tree children.  Each vertex therefore pays at most two passes over
-its in-edges per level value, keeping total scan work within a small
-multiple of m*d.
+The classical tree of Even and Shiloach (1981), over the live edges of a
+given DirectedGraph: it maintains exact distances from a root up to a depth
+bound d under edge deletions and edge length increases; levels are monotone
+non-decreasing.  Repair uses the classic per-vertex scan pointer: an
+orphaned vertex resumes scanning its in-edges for a parent realizing its
+current level, and only when the pointer wraps does it recompute its level
+from scratch and cascade to its tree children.  Each vertex therefore pays
+at most two passes over its in-edges per level value, keeping total scan
+work within a small multiple of m*d.
 
 Every parent is the smallest-id in-edge realizing its head's level, so runs
 are bit-reproducible: an edge the pointer passed cannot become tight again
@@ -24,52 +25,49 @@ from .graph_core import DirectedGraph, dijkstra_tree, edge_chain
 INF = math.inf
 
 
-class EsTree(DirectedGraph):
-    """Shortest-path tree over its own edge set, which is fixed at construction.
+class EsTree:
+    """Shortest-path tree over the edges of the graph g it is built on.
 
-    Deleting an edge through the tree tombstones it in the graph and repairs
-    the levels; lengthening an edge repairs them the same way.
+    The tree reads g's edges in place and keeps its own copy of their
+    lengths, so lengthening an edge leaves g as it is; deleting an edge
+    through the tree tombstones it in g.  Either repairs the levels.  g must
+    gain no edges while the tree is in use.
     """
 
-    def __init__(self, n: int, edges: list[tuple[int, int, int]], root: int, depth: int):
-        """edges: (tail, head, length) triples; edge ids are list positions."""
-        tail, head, length = zip(*edges) if edges else ((), (), ())
-        for ln in length:
+    def __init__(self, g: DirectedGraph, root: int, depth: int):
+        self.length = list(g.length)
+        for ln in self.length:
             if ln < 1 or ln != int(ln):
                 raise ValueError("edge lengths must be integers >= 1")
-        super().__init__(n, tail, head, length)
+        self.g = g
         self.root = root
         self.depth = depth
-        self.level, self.parent_edge, self.scan_steps = dijkstra_tree(self, root, self.length,
+        self.level, self.parent_edge, self.scan_steps = dijkstra_tree(g, root, self.length,
                                                                       depth)
-        self.children: list[set[int]] = [set() for _ in range(n)]
+        self.children: list[set[int]] = [set() for _ in range(g.n)]
         for v, eid in enumerate(self.parent_edge):
             if eid is not None:
-                self.children[self.tail[eid]].add(v)
-        self.ptr = [0] * n
-        self.dropped: list[int] = []  # vertices newly pushed past the depth bound
+                self.children[g.tail[eid]].add(v)
+        self.ptr = [0] * g.n
 
     # ---------------------------------------------------------------- queries
 
     def path_to(self, v: int) -> list[int] | None:
         """Vertex sequence root..v of exact total length level(v), or None."""
         eids = self.path_edges_to(v)
-        return None if eids is None else [self.root] + [self.head[e] for e in eids]
+        return None if eids is None else [self.root] + [self.g.head[e] for e in eids]
 
     def path_edges_to(self, v: int) -> list[int] | None:
         if self.level[v] == INF:
             return None
-        return edge_chain(self.parent_edge, self.tail, self.root, v)
+        return edge_chain(self.parent_edge, self.g.tail, self.root, v)
 
     # ----------------------------------------------- deletion and lengthening
-
-    def delete_edge(self, eid: int) -> None:
-        self.delete_edges([eid])
 
     def delete_edges(self, eids: list[int]) -> None:
         orphans: list[int] = []
         for eid in eids:
-            super().delete_edge(eid)
+            self.g.delete_edge(eid)
             self._orphan_head(eid, orphans)
         if orphans:
             self._repair(orphans)
@@ -81,7 +79,7 @@ class EsTree(DirectedGraph):
         of tree edges, so it orphans those heads and runs the same repair."""
         orphans: list[int] = []
         for eid, ln in updates:
-            if not self.alive[eid]:
+            if not self.g.alive[eid]:
                 raise ValueError(f"edge {eid} is deleted")
             if ln <= self.length[eid] or ln != int(ln):
                 raise ValueError(f"edge {eid} length {self.length[eid]} -> {ln} is not "
@@ -92,13 +90,14 @@ class EsTree(DirectedGraph):
             self._repair(orphans)
 
     def _orphan_head(self, eid: int, orphans: list[int]) -> None:
-        v = self.head[eid]
+        v = self.g.head[eid]
         if self.parent_edge[v] == eid:
             self.parent_edge[v] = None
-            self.children[self.tail[eid]].discard(v)
+            self.children[self.g.tail[eid]].discard(v)
             orphans.append(v)
 
     def _repair(self, seeds: list[int]) -> None:
+        tail, alive, length = self.g.tail, self.g.alive, self.length
         heap: list[tuple[float, int]] = []
         pending: set[int] = set()
         for v in seeds:
@@ -109,15 +108,15 @@ class EsTree(DirectedGraph):
             if v not in pending or self.level[v] != lv:
                 continue
             pending.discard(v)
-            adj = self.in_adj[v]
+            adj = self.g.in_adj[v]
             # resume pointer scan for a parent realizing the current level
             attached = False
             while self.ptr[v] < len(adj):
                 eid = adj[self.ptr[v]]
                 self.scan_steps += 1
-                if self.alive[eid] and self.level[self.tail[eid]] + self.length[eid] == lv:
+                if alive[eid] and self.level[tail[eid]] + length[eid] == lv:
                     self.parent_edge[v] = eid
-                    self.children[self.tail[eid]].add(v)
+                    self.children[tail[eid]].add(v)
                     attached = True
                     break
                 self.ptr[v] += 1
@@ -128,9 +127,9 @@ class EsTree(DirectedGraph):
             best_eid = None
             for eid in adj:
                 self.scan_steps += 1
-                if not self.alive[eid]:
+                if not alive[eid]:
                     continue
-                cand = self.level[self.tail[eid]] + self.length[eid]
+                cand = self.level[tail[eid]] + length[eid]
                 if cand < best or (cand == best and (best_eid is None or eid < best_eid)):
                     best = cand
                     best_eid = eid
@@ -142,15 +141,13 @@ class EsTree(DirectedGraph):
             self.children[v].clear()
             if best > self.depth:
                 self.level[v] = INF
-                self.dropped.append(v)
                 continue
             self.level[v] = best
             self.ptr[v] = 0
             if best_eid is None:
                 raise AssertionError(f"vertex {v} has a finite level but no parent edge")
             self.parent_edge[v] = best_eid
-            self.children[self.tail[best_eid]].add(v)
+            self.children[tail[best_eid]].add(v)
 
-    def scan_budget(self, m: int | None = None) -> int:
-        m = m if m is not None else max(1, len(self.tail))
-        return 16 * m * (self.depth + 1) + 64
+    def scan_budget(self) -> int:
+        return 16 * max(1, len(self.g.tail)) * (self.depth + 1) + 64

@@ -421,15 +421,14 @@ def matching_player(
 
     s_node = core.n
     t_node = core.n + 1
-    h_edges: list[tuple[int, int, int]] = []
+    aux = DirectedGraph(core.n + 2)
     h_kind: list[tuple[str, int]] = []  # (kind, core_eid)
     # special edge -> its tree edge and the tree edges into its tail, which
     # all sit at its lowest populated level
     mirrors: dict[int, list[int]] = {}
 
     def push(u, v, ln, kind, ce, spec=None):
-        hid = len(h_edges)
-        h_edges.append((u, v, ln))
+        hid = aux.add_edge(u, v, ln)
         h_kind.append((kind, ce))
         if spec is not None:
             mirrors.setdefault(spec, []).append(hid)
@@ -456,7 +455,7 @@ def matching_player(
         ln = 2 if core.side[b] == "L" else 1
         t_edge_of[b] = push(b, t_node, ln, "t_edge", -1)
 
-    tree = EsTree(core.n + 2, h_edges, s_node, 2 * d_prime + 3)
+    tree = EsTree(aux, s_node, 2 * d_prime + 3)
     q2: list[tuple[list[int], list[int]]] = []
 
     while a_left and tree.level[t_node] <= 2 * d_prime + 3:
@@ -492,8 +491,8 @@ def matching_player(
         a_left.discard(a_end)
         b_left.discard(b_end)
         # a's source edge may also mirror a special edge whose top level ran out
-        tree.delete_edges([h for h in dict.fromkeys(to_kill) if tree.alive[h]])
-        tree.increase_lengths([(h, ln) for h, ln in raised if tree.alive[h]])
+        tree.delete_edges([h for h in dict.fromkeys(to_kill) if aux.alive[h]])
+        tree.increase_lengths([(h, ln) for h, ln in raised if aux.alive[h]])
 
     paths = q1 + q2
     if len(paths) >= n_half - z:

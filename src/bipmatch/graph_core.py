@@ -208,43 +208,21 @@ class DirectedGraph:
         return [(eid, self.head[eid]) for eid in self.out_adj[u] if self.alive[eid]]
 
 
-class WellStructuredGraph:
-    """Residual graph with source/sink, L/R bipartition and special-edge tags."""
+class WellStructuredGraph(DirectedGraph):
+    """Residual graph: source S_ID, sink T_ID, then n_left L vertices and
+    n_right R vertices.  Its special edges, the reverses of matched pairs,
+    are exactly its R->L edges."""
 
-    def __init__(self, n_core_left: int, n_core_right: int, size_m: int,
-                 tail=(), head=(), special=()):
-        self.g = DirectedGraph(2 + n_core_left + n_core_right, tail, head)
-        self.n_left = n_core_left
-        self.n_right = n_core_right
-        self.size_m = max(2, size_m)
-        self.special: list[bool] = list(special)
-        if len(self.special) != len(self.g.tail):
-            raise ValueError(f"{len(self.special)} special tags for {len(self.g.tail)} edges")
-
-    @property
-    def n(self) -> int:
-        return self.g.n
+    def __init__(self, n_left: int, n_right: int, tail=(), head=(), length=None):
+        super().__init__(2 + n_left + n_right, tail, head, length)
+        self.n_left = n_left
+        self.n_right = n_right
 
     def is_left(self, v: int) -> bool:
         return 2 <= v < 2 + self.n_left
 
     def is_right(self, v: int) -> bool:
         return 2 + self.n_left <= v < self.n
-
-    def add_edge(self, u: int, v: int, length: int = 1, special: bool = False) -> int:
-        eid = self.g.add_edge(u, v, length)
-        self.special.append(special)
-        return eid
-
-    def __getitem__(self, u: int) -> list[tuple[int, int]]:
-        return self.g[u]
-
-    def side_of(self, v: int) -> str:
-        if v == S_ID:
-            return "s"
-        if v == T_ID:
-            return "t"
-        return "L" if self.is_left(v) else "R"
 
 
 def left_id(g: BipartiteGraph, u: int) -> int:
@@ -267,44 +245,44 @@ def residual_graph(g: BipartiteGraph, m_set: Matching) -> WellStructuredGraph:
     n_left = g.n_left
     tail: list[int] = []
     head: list[int] = []
-    special: list[bool] = []
     for u in range(n_left):
         if m_set.right_of(u) is None:
             tail.append(S_ID)
             head.append(2 + u)
-            special.append(False)
     pairs = m_set.pairs
     for u, v in sorted(g.edges):
         if (u, v) in pairs:
             tail.append(2 + n_left + v)
             head.append(2 + u)
-            special.append(True)
         else:
             tail.append(2 + u)
             head.append(2 + n_left + v)
-            special.append(False)
     for v in range(g.n_right):
         if m_set.left_of(v) is None:
             tail.append(2 + n_left + v)
             head.append(T_ID)
-            special.append(False)
-    return WellStructuredGraph(n_left, g.n_right, len(tail), tail, head, special)
+    return WellStructuredGraph(n_left, g.n_right, tail, head)
 
 
 def validate_well_structured(h: WellStructuredGraph) -> list[str]:
-    """Return one message per violated structural requirement (empty = valid)."""
+    """Return one message per violated structural requirement (empty = valid).
+
+    The parallel-copy bound is taken against m = h.live_m (at least 2)."""
     report: list[str] = []
-    g = h.g
-    m = h.size_m
-    if g.live_m > m * log2c(m):
-        report.append(f"edge count {g.live_m} exceeds m*log m = {m * log2c(m)}")
+    m = max(2, h.live_m)
+
+    def side_of(v: int) -> str:
+        if v == S_ID:
+            return "s"
+        if v == T_ID:
+            return "t"
+        return "L" if h.is_left(v) else "R"
 
     pair_counts: dict[tuple[int, int], int] = {}
-    special_partner: dict[int, set[int]] = {}
     r_out_heads: dict[int, set[int]] = {}
     l_in_tails: dict[int, set[int]] = {}
-    for eid in g.live_edges():
-        u, v = g.tail[eid], g.head[eid]
+    for eid in h.live_edges():
+        u, v = h.tail[eid], h.head[eid]
         pair_counts[(u, v)] = pair_counts.get((u, v), 0) + 1
         if v == S_ID:
             report.append(f"edge {eid} enters the source")
@@ -314,27 +292,16 @@ def validate_well_structured(h: WellStructuredGraph) -> list[str]:
             report.append(f"source edge {eid} does not point into L")
         if v == T_ID and not h.is_right(u):
             report.append(f"sink edge {eid} does not come from R")
-        if u in (S_ID,) or v in (T_ID,):
-            if h.special[eid]:
-                report.append(f"source/sink edge {eid} marked special")
+        if u == S_ID or v == T_ID:
             continue
-        core_u, core_v = h.side_of(u), h.side_of(v)
+        core_u, core_v = side_of(u), side_of(v)
         if {core_u, core_v} != {"L", "R"}:
             report.append(f"core edge {eid} ({core_u}->{core_v}) is not bipartite")
             continue
-        if h.special[eid] != (core_u == "R"):
-            report.append(f"edge {eid} direction/special tag mismatch")
-        if h.special[eid]:
-            special_partner.setdefault(u, set()).add(v)
-            special_partner.setdefault(v, set()).add(u)
-        if core_u == "R":
+        if core_u == "R":  # special: the reverse of a matched pair
             r_out_heads.setdefault(u, set()).add(v)
-        if core_v == "L":
             l_in_tails.setdefault(v, set()).add(u)
 
-    for v, partners in special_partner.items():
-        if len(partners) > 1:
-            report.append(f"vertex {v} has special edges to several partners")
     for u, heads in r_out_heads.items():
         if len(heads) > 1:
             report.append(f"R vertex {u} has out-degree {len(heads)} ignoring parallels")

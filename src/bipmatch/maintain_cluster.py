@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .constants import Constants
 from .es_tree import EsTree, INF
 from .expander_tools import Cut, ball_grow, embed_or_cut, sparse_to_well_structured
-from .graph_core import CoreGraph, bfs_tree, shortcut_to_simple, tree_path
+from .graph_core import CoreGraph, DirectedGraph, bfs_tree, shortcut_to_simple, tree_path
 
 
 class ClusterHalted(Exception):
@@ -161,20 +161,17 @@ class ClusterState:
     def _build_trees(self) -> None:
         core = self.core
         self.s_node = core.n
-        out_edges: list[tuple[int, int, int]] = []
-        in_edges: list[tuple[int, int, int]] = []
-        self.core2es: dict[int, int] = {}
-        for eid in core.live_edges():
-            self.core2es[eid] = len(out_edges)
-            out_edges.append((core.tail[eid], core.head[eid], 1))
-            in_edges.append((core.head[eid], core.tail[eid], 1))
-        self.s_edge: dict[int, int] = {}
-        for w in sorted(self.exp_vertices):
-            self.s_edge[w] = len(out_edges)
-            out_edges.append((self.s_node, w, 1))
-            in_edges.append((self.s_node, w, 1))
-        self.t_out = EsTree(core.n + 1, out_edges, self.s_node, self.d + 1)
-        self.t_in = EsTree(core.n + 1, in_edges, self.s_node, self.d + 1)
+        live = list(core.live_edges())
+        self.core2es: dict[int, int] = {eid: i for i, eid in enumerate(live)}
+        exp = sorted(self.exp_vertices)
+        self.s_edge: dict[int, int] = {w: len(live) + i for i, w in enumerate(exp)}
+        tails = [core.tail[eid] for eid in live]
+        heads = [core.head[eid] for eid in live]
+        roots = [self.s_node] * len(exp)
+        self.t_out = EsTree(DirectedGraph(core.n + 1, tails + roots, heads + exp),
+                            self.s_node, self.d + 1)
+        self.t_in = EsTree(DirectedGraph(core.n + 1, heads + roots, tails + exp),
+                           self.s_node, self.d + 1)
 
     # -------------------------------------------------------------- plumbing
 
@@ -196,9 +193,9 @@ class ClusterState:
                 continue
             self.exp_vertices.discard(v)
             se = self.s_edge.get(v)
-            if se is not None and self.t_out.alive[se]:
+            if se is not None and self.t_out.g.alive[se]:
                 dead_out.append(se)
-            if se is not None and self.t_in.alive[se]:
+            if se is not None and self.t_in.g.alive[se]:
                 dead_in.append(se)
         for idx, (u, w) in enumerate(self.emb.edges):
             if self.exp_alive[idx] and (u in verts or w in verts):

@@ -42,11 +42,11 @@ def build_doubling_graph(h: WellStructuredGraph, lam: int) -> WellStructuredGrap
     The pipeline never builds it; it is the materialised oracle that tests
     run the implicit lengths of both backends against."""
     levels = doubling_levels(lam)
-    hat = WellStructuredGraph(h.n_left, h.n_right, size_m=max(2, h.g.live_m))
-    for eid in h.g.live_edges():
-        u, v = h.g.tail[eid], h.g.head[eid]
+    hat = WellStructuredGraph(h.n_left, h.n_right)
+    for eid in h.live_edges():
+        u, v = h.tail[eid], h.head[eid]
         for j in range(levels):
-            hat.add_edge(u, v, length=1 << j, special=h.special[eid])
+            hat.add_edge(u, v, length=1 << j)
     return hat
 
 
@@ -54,8 +54,8 @@ def mwu_run(h: WellStructuredGraph, delta: int, backend: str = "reference",
             cnst: Constants | None = None, checked: bool = False) -> MwuResult:
     """Collect s-t paths of MWU length at most 1 until the backend legally fails."""
     cnst = cnst or Constants.desk()
-    m = h.g.live_m
-    if m != len(h.g.tail):
+    m = h.live_m
+    if m != len(h.tail):
         raise ValueError("the residual graph has deleted edges; the backends need a fresh one")
     if m < 2:
         return MwuResult([], [], {}, lam=1, m=max(2, m), warned_no_path=True)

@@ -17,8 +17,8 @@ deleted.  Two implementations share the interface:
   widens that gap, the edge's class is raised in place.
 
 - ReferenceSssp: plain decremental shortest path over one Even-Shiloach
-  tree, failing exactly when dist(s,t) > 8*lambda; it anchors differential
-  tests.
+  tree that reads the residual graph in place, failing exactly when
+  dist(s,t) > 8*lambda; it anchors differential tests.
 
 Both take the residual graph and lambda and keep its doubling graph
 implicit: only the cheapest live copy of an edge matters, so each keeps one
@@ -73,8 +73,7 @@ class RestrictedSssp:
                  checked: bool = False):
         if delta < 1 or delta > graph.n:
             raise ValueError("Delta must be in [1, |V|]")
-        g = graph.g
-        if g.live_m != len(g.tail):
+        if graph.live_m != len(graph.tail):
             raise ValueError("RestrictedSssp needs a graph without deleted edges")
         self.graph = graph
         self.delta = delta
@@ -83,7 +82,7 @@ class RestrictedSssp:
         self.checked = checked
         self.lam = lam if lam is not None else raw_lambda(self.m_param, delta)
         # each edge's current (cheapest live copy's) length; h is never written
-        self.length = list(g.length)
+        self.length = list(graph.length)
         self._validate_lengths()
 
         n = graph.n
@@ -106,7 +105,7 @@ class RestrictedSssp:
         # simple short-edge graph bookkeeping
         self.out_pairs: list[set[int]] = [set() for _ in range(n)]
         self.pair_eid: dict[tuple[int, int], int] = {}
-        for eid, pair in enumerate(zip(g.tail, g.head)):
+        for eid, pair in enumerate(zip(graph.tail, graph.head)):
             if pair in self.pair_eid:
                 raise ValueError(f"parallel edges {self.pair_eid[pair]} and {eid}: "
                                  "a residual graph is simple")
@@ -123,8 +122,8 @@ class RestrictedSssp:
         self._skip_floor: dict[int, int] = {}
         self._span_ceiling: dict[int, int] = {}
 
-        s_cid = self._new_record({S_ID}, 0)
-        t_cid = self._new_record({T_ID}, n - 1)
+        self._new_record({S_ID}, 0)
+        self._new_record({T_ID}, n - 1)
         if n > 2:
             j_cid = self._new_record(set(range(2, n)), 1)
             self._pending.append(j_cid)
@@ -268,7 +267,7 @@ class RestrictedSssp:
         rest = sorted(c for c in self.clusters if c not in (s_cid, t_cid))
         for cid in [s_cid, t_cid] + rest:
             self.clusters[cid].sup = dag.add_vertex()
-        g = self.graph.g
+        g = self.graph
         crossing = [eid for eid in range(len(g.tail))
                     if self.cluster_of[g.tail[eid]] != self.cluster_of[g.head[eid]]]
         self.residual_edge: dict[int, int] = {}  # DAG edge -> residual edge
@@ -297,7 +296,7 @@ class RestrictedSssp:
         length: create(specs) makes the DAG edges from their (tail, head,
         length, weight) specs and returns their ids in order.  Returns each
         edge's DAG edge id."""
-        g = self.graph.g
+        g = self.graph
         clusters, cluster_of, length = self.clusters, self.cluster_of, self.length
         specs: list[tuple[int, int, int, int]] = []
         for eid in eids:
@@ -316,7 +315,7 @@ class RestrictedSssp:
         dag = self.dag
         if dag is None:
             raise AssertionError("contracted graph not built")
-        g = self.graph.g
+        g = self.graph
         new_sups = list(range(dag.n, dag.n + len(new_cids)))
         verts = set(self.clusters[cid].members)
         for nc, sup in zip(new_cids, new_sups):
@@ -394,7 +393,7 @@ class RestrictedSssp:
         raise ClusterContractError("query retries exhausted")
 
     def _assemble(self, dag_path: list[int]):
-        g = self.graph.g
+        g = self.graph
         verts: list[int] = [S_ID]
         eids: list[int] = []
         for geid in map(self.residual_edge.__getitem__, dag_path):
@@ -444,7 +443,7 @@ class RestrictedSssp:
         bad = [e for e in eids if e not in self.last_path]
         if bad:
             raise ValueError(f"edges {bad} were not on the last returned path")
-        g = self.graph.g
+        g = self.graph
         per_cluster: dict[int, list[int]] = {}
         updates: list[tuple[int, int]] = []  # (DAG edge, new length)
         for eid in eids:
@@ -508,7 +507,7 @@ class RestrictedSssp:
         # edge has exactly one live DAG edge, between its endpoints'
         # supernodes, in class _min_exp(skip) and at the edge's current
         # length, and a non-crossing edge has none
-        g, dag, clusters = self.graph.g, self.dag, self.clusters
+        g, dag, clusters = self.graph, self.dag, self.clusters
         for eid, (u, v) in enumerate(zip(g.tail, g.head)):
             deid = self.dag_edge.get(eid)
             got = None if deid is None else (
@@ -540,11 +539,12 @@ class ReferenceSssp:
     """Plain decremental shortest path, failing exactly when dist(s,t) >
     8*lambda.  Meets the restricted-SSSP contract exactly.
 
-    One Even-Shiloach tree rooted at s, depth bound 8*lambda, holds the
-    residual edges, each at its cheapest copy's length.  Copies of one edge
-    have consecutive ids in the materialised doubling graph, so the tree's
-    smallest-id parents pick the same edges as a Dijkstra over every copy
-    that keeps the least (dist, copy id).
+    One Even-Shiloach tree rooted at s, depth bound 8*lambda, reads the
+    residual graph's edges in place and keeps each at its cheapest copy's
+    length; the tree only lengthens edges, so the graph stays as it is.
+    Copies of one edge have consecutive ids in the materialised doubling
+    graph, so the tree's smallest-id parents pick the same edges as a
+    Dijkstra over every copy that keeps the least (dist, copy id).
 
     The backend reads the graph once, so it must have no deleted edges then
     and stay as it is: a query raises ValueError if edges were added or
@@ -561,12 +561,10 @@ class ReferenceSssp:
         self.failed = False
         self.last_path: set[int] = set()
         self.stats = {"queries": 0, "fails": 0}
-        g = graph.g
-        if g.live_m != len(g.tail):
+        if graph.live_m != len(graph.tail):
             raise ValueError("ReferenceSssp needs a graph without deleted edges")
-        self._edges_built = len(g.tail)
-        self.tree = EsTree(g.n, [(g.tail[e], g.head[e], 1) for e in range(len(g.tail))],
-                           S_ID, 8 * self.lam)
+        self._edges_built = len(graph.tail)
+        self.tree = EsTree(graph, S_ID, 8 * self.lam)
         self.length = self.tree.length  # each edge's current length
 
     def query(self):
@@ -574,17 +572,16 @@ class ReferenceSssp:
             return None
         if self.queries_done >= self.delta:
             raise ValueError("query budget exhausted")
-        g = self.graph.g
+        g = self.graph
         if len(g.tail) != self._edges_built or g.live_m != self._edges_built:
             raise ValueError("edges were added or deleted after construction; "
                              "ReferenceSssp reads the graph once")
-        tree = self.tree
-        eids = tree.path_edges_to(T_ID)
+        eids = self.tree.path_edges_to(T_ID)
         if eids is None:  # level(t) > 8*lambda
             self.failed = True
             self.stats["fails"] += 1
             return None
-        verts = [S_ID] + [tree.head[e] for e in eids]
+        verts = [S_ID] + [g.head[e] for e in eids]
         self.queries_done += 1
         self.stats["queries"] += 1
         self.last_path = set(eids)

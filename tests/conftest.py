@@ -3,7 +3,9 @@ import random
 import pytest
 
 from bipmatch.constants import Constants
-from bipmatch.graph_core import BipartiteGraph, CoreGraph, Matching, residual_graph
+from bipmatch.es_tree import EsTree
+from bipmatch.graph_core import (BipartiteGraph, CoreGraph, DirectedGraph, Matching,
+                                 residual_graph)
 
 
 def random_bipartite(rng: random.Random, nl: int, nr: int, p: float) -> BipartiteGraph:
@@ -52,6 +54,13 @@ def residual_of_random(rng: random.Random, nl: int, nr: int, p: float,
     g = random_bipartite(rng, nl, nr, p)
     m = random_matching(rng, g, match_frac)
     return g, m, residual_graph(g, m)
+
+
+def es_tree(n: int, triples, root: int, depth: int) -> EsTree:
+    """An EsTree over a new DirectedGraph of the (tail, head, length)
+    triples; edge ids are list positions."""
+    tail, head, length = zip(*triples) if triples else ((), (), ())
+    return EsTree(DirectedGraph(n, tail, head, length), root, depth)
 
 
 def recount_core_cut(core: CoreGraph, tail_side, head_side):

@@ -14,7 +14,6 @@ from bipmatch.cli import main as cli_main
 from bipmatch.constants import Constants, log2c
 from bipmatch.dag_sssp import DagSssp, INF
 from bipmatch.driver import DriverConfig, max_matching, round_to_disjoint
-from bipmatch.es_tree import EsTree
 from bipmatch.expander_tools import construct_expander, embed_or_cut
 from bipmatch.graph_core import (BipartiteGraph, DirectedGraph, Matching,
                                  residual_graph)
@@ -23,7 +22,7 @@ from bipmatch.mwu import mwu_run, mwu_yield_floor
 from bipmatch.oracles import (bicriteria_path_oracle, dijkstra,
                               enumerate_all_cuts_sparsity, hopcroft_karp)
 from bipmatch.restricted_sssp import RestrictedSssp
-from conftest import (dag_add_edge_p1, random_bipartite, random_core,
+from conftest import (dag_add_edge_p1, es_tree, random_bipartite, random_core,
                       recount_core_cut)
 
 CN = Constants.desk()
@@ -114,7 +113,7 @@ def test_criterion_2_mwu_guarantees():
             nl = nr = rng.randint(50, 110)
             g = random_bipartite(rng, nl, nr, rng.choice([0.1, 0.25]))
         h = residual_graph(g, Matching())
-        m = h.g.live_m
+        m = h.live_m
         delta = len(hopcroft_karp(g)[0])
         if m < CN.mwu_min_edges or delta < CN.mwu_gate(m):
             continue
@@ -141,14 +140,14 @@ def test_criterion_3_es_tree_oracle():
         if not edges:
             continue
         depth = rng.choice([5, 12, 40, 10**6])
-        tree = EsTree(n, edges, root=0, depth=depth)
+        tree = es_tree(n, edges, root=0, depth=depth)
         g = DirectedGraph(n)
         for u, v, ln in edges:
             g.add_edge(u, v, ln)
         order = list(range(len(edges)))
         rng.shuffle(order)
         for eid in order:
-            tree.delete_edge(eid)
+            tree.delete_edges([eid])
             g.delete_edge(eid)
             oracle = dijkstra(g, 0)
             expect = [x if x <= depth else INF for x in oracle]
@@ -271,7 +270,7 @@ def test_criterion_5_cut_certificates():
                 pairs.append((u, v))
                 used_r.add(v)
         h = residual_graph(g, Matching(pairs[:-2] if len(pairs) > 2 else []))
-        rs = RestrictedSssp(h, delta=2, m_param=h.g.live_m, checked=True)
+        rs = RestrictedSssp(h, delta=2, m_param=h.live_m, checked=True)
         emissions += rs.stats["cuts"]
         while rs.queries_done < rs.delta:
             res = rs.query()
@@ -324,7 +323,7 @@ def test_criterion_8_rounding():
         nl = nr = rng.randint(40, 90)
         g = random_bipartite(rng, nl, nr, rng.choice([0.08, 0.2]))
         h = residual_graph(g, Matching())
-        m = h.g.live_m
+        m = h.live_m
         delta = min(nl, nr)
         if m < CN.mwu_min_edges or delta < CN.mwu_gate(m):
             continue

@@ -56,9 +56,9 @@ def test_round_to_disjoint_identity_on_disjoint_input():
     h = residual_graph(g, Matching())
     paths = []
     for i in range(4):
-        eids = [e for e in h.g.live_edges()
-                if i + 2 in (h.g.tail[e], h.g.head[e])
-                or (h.g.tail[e] == 6 + i or h.g.head[e] == 6 + i)]
+        eids = [e for e in h.live_edges()
+                if i + 2 in (h.tail[e], h.head[e])
+                or (h.tail[e] == 6 + i or h.head[e] == 6 + i)]
         # collect the 3-edge route s -> l_i -> r_i -> t
         eids = sorted(set(eids))
         paths.append(eids)
@@ -71,7 +71,7 @@ def test_round_to_disjoint_shared_edge():
     # two paths sharing the middle edge: at least one disjoint path survives
     g = BipartiteGraph(1, 1, ((0, 0),))
     h = residual_graph(g, Matching())
-    all_edges = sorted(h.g.live_edges())
+    all_edges = sorted(h.live_edges())
     out = round_to_disjoint(h, [all_edges, all_edges])
     assert len(out) >= 1
 
@@ -96,7 +96,7 @@ def test_disjoint_paths_reach_the_maximum_matching():
         full, _ = hopcroft_karp(g)
         partial = Matching(p for p in sorted(full.pairs) if rng.random() < 0.5)
         h = residual_graph(g, partial)
-        paths = disjoint_paths(h, h.g.live_edges())
+        paths = disjoint_paths(h, h.live_edges())
         assert len(paths) == len(full) - len(partial)
         internal = [v for p in paths for v in p[1:-1]]
         assert len(internal) == len(set(internal))
@@ -111,7 +111,7 @@ def test_disjoint_paths_follows_one_long_augmenting_path():
     g = BipartiteGraph(k, k, tuple(edges))
     partial = Matching((k - 1 - i, i - 1) for i in range(1, k))
     h = residual_graph(g, partial)
-    paths = disjoint_paths(h, h.g.live_edges())
+    paths = disjoint_paths(h, h.live_edges())
     assert len(paths) == 1 and len(paths[0]) == 2 * k + 2
     assert len(augment(g, partial, paths)) == k
 
@@ -133,12 +133,11 @@ class FlowArcs:
 def bfs_tree_disjoint_paths(h, eids):
     """disjoint_paths as one bfs_tree over FlowArcs per augmentation, with
     the same flow decomposition: the oracle for disjoint_paths' own BFS."""
-    g = h.g
-    flow = [-1] * len(g.tail)
+    flow = [-1] * len(h.tail)
     for eid in eids:
         flow[eid] = 0
     while True:
-        parent = bfs_tree(S_ID, FlowArcs(g, flow), target=T_ID)
+        parent = bfs_tree(S_ID, FlowArcs(h, flow), target=T_ID)
         if T_ID not in parent:
             break
         for eid in tree_path(parent, T_ID)[1]:
@@ -146,7 +145,7 @@ def bfs_tree_disjoint_paths(h, eids):
     remaining = {}
     for eid, f in enumerate(flow):
         if f == 1:
-            remaining.setdefault(g.tail[eid], []).append(eid)
+            remaining.setdefault(h.tail[eid], []).append(eid)
     paths = []
     while remaining.get(S_ID):
         verts = [S_ID]
@@ -154,7 +153,7 @@ def bfs_tree_disjoint_paths(h, eids):
             eid = remaining[verts[-1]].pop(0)
             if not remaining[verts[-1]]:
                 del remaining[verts[-1]]
-            verts.append(g.head[eid])
+            verts.append(h.head[eid])
         paths.append(verts)
     return paths
 
@@ -183,21 +182,21 @@ def test_disjoint_paths_matches_the_bfs_tree_oracle(data):
     g = random_bipartite(rng, nl, nr, data.draw(st.floats(0.05, 1.0)))
     h = residual_graph(g, random_matching(rng, g, data.draw(st.floats(0.0, 1.0))))
     drop = data.draw(st.sampled_from([0.0, 0.1, 0.3]))
-    for eid in list(h.g.live_edges()):
+    for eid in list(h.live_edges()):
         if rng.random() < drop:
-            h.g.delete_edge(eid)
+            h.delete_edge(eid)
     shape = data.draw(st.sampled_from(["subset", "paths", "all"]))
     if shape == "subset":
-        offered = [e for e in h.g.live_edges() if rng.random() < 0.7]
+        offered = [e for e in h.live_edges() if rng.random() < 0.7]
         rng.shuffle(offered)
     elif shape == "paths":
         # as round_to_disjoint offers them: the support of a path collection
         # in first-use order, with the edges the paths share
-        walks = [random_st_path(rng, h.g) for _ in range(data.draw(st.integers(1, 8)))]
+        walks = [random_st_path(rng, h) for _ in range(data.draw(st.integers(1, 8)))]
         offered = list(dict.fromkeys(e for w in walks if w for e in w))
     if shape == "all":  # the finishing flow's generator
-        got = disjoint_paths(h, h.g.live_edges())
-        want = bfs_tree_disjoint_paths(h, h.g.live_edges())
+        got = disjoint_paths(h, h.live_edges())
+        want = bfs_tree_disjoint_paths(h, h.live_edges())
     else:
         got = disjoint_paths(h, offered)
         want = bfs_tree_disjoint_paths(h, offered)
@@ -209,13 +208,13 @@ def test_disjoint_paths_tries_forward_arcs_before_backward_ones():
     # go on forward to x or backward over the flow edge a->b to a; both
     # reach t two edges later, so the order of the two arcs picks the path
     s, t, a, b, c, x, w, z = S_ID, T_ID, 2, 3, 4, 5, 6, 7
-    h = WellStructuredGraph(3, 3, size_m=10)
+    h = WellStructuredGraph(3, 3)
     for u, v in [(s, a), (a, b), (b, t), (s, c), (c, b), (b, x), (x, w),
                  (w, t), (a, z), (z, t)]:
         h.add_edge(u, v)
     want = [[s, a, b, t], [s, c, b, x, w, t]]
-    assert bfs_tree_disjoint_paths(h, h.g.live_edges()) == want
-    assert disjoint_paths(h, h.g.live_edges()) == want
+    assert bfs_tree_disjoint_paths(h, h.live_edges()) == want
+    assert disjoint_paths(h, h.live_edges()) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,7 +226,7 @@ def test_disjoint_paths_matches_the_oracle_when_a_phase_finds_many_paths(data):
     nl, nr = data.draw(st.integers(13, 40)), data.draw(st.integers(13, 40))
     g = random_bipartite(rng, nl, nr, data.draw(st.floats(0.03, 0.5)))
     h = residual_graph(g, random_matching(rng, g, data.draw(st.floats(0.0, 0.1))))
-    offered = list(h.g.live_edges())
+    offered = list(h.live_edges())
     if data.draw(st.booleans()):
         offered = [e for e in offered if rng.random() < 0.8]
         rng.shuffle(offered)
@@ -293,8 +292,8 @@ def test_disjoint_paths_matches_the_oracle_when_a_phase_reroutes_an_l_vertex(dat
                                 min_size=1, max_size=3))
     g, m = rerouting_instance(rng, shapes, data.draw(st.integers(0, 8)))
     h = residual_graph(g, m)
-    assert disjoint_paths(h, h.g.live_edges()) == bfs_tree_disjoint_paths(
-        h, h.g.live_edges())
+    assert disjoint_paths(h, h.live_edges()) == bfs_tree_disjoint_paths(
+        h, h.live_edges())
 
 
 def test_disjoint_paths_backs_out_of_a_dead_end():
@@ -303,13 +302,13 @@ def test_disjoint_paths_backs_out_of_a_dead_end():
     # out, skips a's arc to x and takes y.  From b it then enters y, spent by
     # the first path, backs out again and takes z.
     s, t, a, b, x, y, z = S_ID, T_ID, 2, 3, 4, 5, 6
-    h = WellStructuredGraph(3, 2, size_m=10)
+    h = WellStructuredGraph(3, 2)
     for u, v in [(s, a), (s, b), (a, x), (a, y), (a, z), (b, y), (b, z),
                  (y, t), (z, t), (x, b)]:
         h.add_edge(u, v)
     want = [[s, a, y, t], [s, b, z, t]]
-    assert bfs_tree_disjoint_paths(h, h.g.live_edges()) == want
-    assert disjoint_paths(h, h.g.live_edges()) == want
+    assert bfs_tree_disjoint_paths(h, h.live_edges()) == want
+    assert disjoint_paths(h, h.live_edges()) == want
 
 
 def test_exact_phase_builds_one_residual_graph(monkeypatch):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipmatch.es_tree import EsTree, INF
+from bipmatch.es_tree import INF
 from bipmatch.graph_core import DirectedGraph
 from bipmatch.oracles import dijkstra
+from conftest import es_tree
 
 
 def capped(dist, d):
@@ -22,12 +23,12 @@ def make_graph(n, edges):
 
 def test_simple_path_levels():
     edges = [(0, 1, 1), (1, 2, 2)]
-    t = EsTree(3, edges, root=0, depth=5)
+    t = es_tree(3, edges, root=0, depth=5)
     assert t.level == [0, 1, 3]
 
 
 def test_unreachable_vertex():
-    t = EsTree(3, [(0, 1, 1)], root=0, depth=5)
+    t = es_tree(3, [(0, 1, 1)], root=0, depth=5)
     assert t.level[2] == INF
     assert t.path_to(2) is None
 
@@ -41,43 +42,42 @@ def test_levels_match_dijkstra_on_random_graph():
         if u != v:
             edges.append((u, v, rng.randint(1, 5)))
     d = 12
-    t = EsTree(n, edges, root=0, depth=d)
+    t = es_tree(n, edges, root=0, depth=d)
     g = make_graph(n, edges)
     assert t.level == capped(dijkstra(g, 0), d)
 
 
 def test_delete_tree_edge_drops_subtree():
     edges = [(0, 1, 1), (1, 2, 2)]
-    t = EsTree(3, edges, root=0, depth=5)
-    t.delete_edge(1)
+    t = es_tree(3, edges, root=0, depth=5)
+    t.delete_edges([1])
     assert t.level[2] == INF
-    assert 2 in t.dropped
 
 
 def test_delete_non_tree_edge_changes_nothing():
     edges = [(0, 1, 1), (0, 2, 1), (1, 2, 1)]  # (1,2) is not a tree edge
-    t = EsTree(3, edges, root=0, depth=5)
+    t = es_tree(3, edges, root=0, depth=5)
     before = list(t.level)
-    t.delete_edge(2)
+    t.delete_edges([2])
     assert t.level == before
 
 
 def test_delete_dead_edge_rejected():
-    t = EsTree(2, [(0, 1, 1)], root=0, depth=3)
-    t.delete_edge(0)
+    t = es_tree(2, [(0, 1, 1)], root=0, depth=3)
+    t.delete_edges([0])
     with pytest.raises(ValueError):
-        t.delete_edge(0)
+        t.delete_edges([0])
 
 
 def test_path_to_root_is_empty():
-    t = EsTree(2, [(0, 1, 1)], root=0, depth=3)
+    t = es_tree(2, [(0, 1, 1)], root=0, depth=3)
     assert t.path_to(0) == [0]
     assert t.path_edges_to(0) == []
 
 
 def test_path_length_equals_level():
     edges = [(0, 1, 1), (1, 2, 2)]
-    t = EsTree(3, edges, root=0, depth=5)
+    t = es_tree(3, edges, root=0, depth=5)
     assert t.path_to(2) == [0, 1, 2]
     assert sum(t.length[e] for e in t.path_edges_to(2)) == t.level[2]
 
@@ -94,12 +94,12 @@ def test_random_deletions_track_oracle():
         if not edges:
             continue
         d = rng.choice([3, 7, 15, 50])
-        t = EsTree(n, edges, root=0, depth=d)
+        t = es_tree(n, edges, root=0, depth=d)
         g = make_graph(n, edges)
         order = list(range(len(edges)))
         rng.shuffle(order)
         for eid in order:
-            t.delete_edge(eid)
+            t.delete_edges([eid])
             g.delete_edge(eid)
             assert t.level == capped(dijkstra(g, 0), d)
             v = rng.randrange(n)
@@ -120,7 +120,7 @@ def test_scan_budget_respected_under_full_teardown():
         if u != v:
             edges.append((u, v, rng.randint(1, 3)))
     d = 20
-    t = EsTree(n, edges, root=0, depth=d)
+    t = es_tree(n, edges, root=0, depth=d)
     order = list(range(len(edges)))
     rng.shuffle(order)
     t.delete_edges(order)
@@ -130,18 +130,18 @@ def test_scan_budget_respected_under_full_teardown():
 
 def test_lengthen_non_tree_edge_changes_nothing():
     edges = [(0, 1, 1), (0, 2, 1), (1, 2, 1)]  # (1,2) is not a tree edge
-    t = EsTree(3, edges, root=0, depth=5)
+    t = es_tree(3, edges, root=0, depth=5)
     before = list(t.level)
     t.increase_lengths([(2, 4)])
     assert t.level == before and t.length[2] == 4
 
 
 def test_lengthen_rejects_shrinking_and_dead_edges():
-    t = EsTree(2, [(0, 1, 2), (0, 1, 1)], root=0, depth=3)
+    t = es_tree(2, [(0, 1, 2), (0, 1, 1)], root=0, depth=3)
     for bad in ((0, 2), (0, 1), (0, 2.5)):
         with pytest.raises(ValueError):
             t.increase_lengths([bad])
-    t.delete_edge(1)
+    t.delete_edges([1])
     with pytest.raises(ValueError):
         t.increase_lengths([(1, 4)])
 
@@ -150,14 +150,14 @@ def check_tree(t, g):
     """Levels equal the depth-bounded oracle and every parent is the
     smallest-id live in-edge realizing its head's level."""
     assert t.level == capped(dijkstra(g, t.root), t.depth)
-    for v in range(t.n):
+    for v in range(g.n):
         if v == t.root or t.level[v] == INF:
             assert t.parent_edge[v] is None
             continue
         tight = [e for e in g.in_adj[v]
                  if g.alive[e] and t.level[g.tail[e]] + g.length[e] == t.level[v]]
         assert t.parent_edge[v] == min(tight)
-        assert v in t.children[t.tail[t.parent_edge[v]]]
+        assert v in t.children[g.tail[t.parent_edge[v]]]
 
 
 def test_lengthening_cycle_entry_drops_cycle_past_depth():
@@ -165,7 +165,7 @@ def test_lengthening_cycle_entry_drops_cycle_past_depth():
     # other entry 0 -> 3 sits at the depth bound, so the cycle cannot hold
     # 1 and 2 within it once 0 -> 1 is long
     edges = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1), (0, 3, 6)]
-    t = EsTree(4, edges, root=0, depth=6)
+    t = es_tree(4, edges, root=0, depth=6)
     g = make_graph(4, edges)
     assert t.level == [0, 1, 2, 3]
     for ln in (2, 4, 8):
@@ -173,7 +173,6 @@ def test_lengthening_cycle_entry_drops_cycle_past_depth():
         g.length[0] = ln
         check_tree(t, g)
     assert t.level == [0, INF, INF, 6]
-    assert {1, 2} <= set(t.dropped)
     assert t.scan_steps <= t.scan_budget()
 
 
@@ -185,7 +184,7 @@ def test_deletions_and_length_increases_track_oracle(data):
     pairs = data.draw(st.lists(st.sampled_from(arcs), min_size=1, max_size=4 * n))
     edges = [(u, v, data.draw(st.integers(1, 4))) for u, v in pairs]
     depth = data.draw(st.integers(1, 12))
-    t = EsTree(n, edges, root=0, depth=depth)
+    t = es_tree(n, edges, root=0, depth=depth)
     g = make_graph(n, edges)
     check_tree(t, g)
     for _ in range(data.draw(st.integers(1, 2 * len(edges)))):

@@ -317,9 +317,9 @@ def test_matching_player_runs_out_the_top_copy(cnst, monkeypatch):
     sizes = []
 
     class SizedTree(expander_tools.EsTree):
-        def __init__(self, n, edges, root, depth):
-            sizes.append(len(edges))
-            super().__init__(n, edges, root, depth)
+        def __init__(self, g, root, depth):
+            sizes.append(len(g.tail))
+            super().__init__(g, root, depth)
 
     monkeypatch.setattr(expander_tools, "EsTree", SizedTree)
     core, a, b = bottleneck_core(13)

@@ -15,7 +15,7 @@ from conftest import residual_of_random
 
 
 def edge_pairs(h):
-    return {(h.g.tail[e], h.g.head[e]) for e in h.g.live_edges()}
+    return {(h.tail[e], h.head[e]) for e in h.live_edges()}
 
 
 def test_residual_single_unmatched_edge():
@@ -30,8 +30,8 @@ def test_residual_single_matched_edge():
     h = residual_graph(g, Matching([(0, 0)]))
     u, v = left_id(g, 0), right_id(g, 0)
     assert edge_pairs(h) == {(v, u)}
-    (eid,) = h.g.live_edges()
-    assert h.special[eid]
+    (eid,) = h.live_edges()
+    assert h.is_right(h.tail[eid]) and h.is_left(h.head[eid])  # special: R->L
 
 
 def test_residual_two_by_two_half_matched():
@@ -105,9 +105,9 @@ def test_validate_flags_parallel_copy_bound():
     g = BipartiteGraph(1, 1, ((0, 0),))
     h = residual_graph(g, Matching([(0, 0)]))
     u, v = left_id(g, 0), right_id(g, 0)
-    h.size_m = 8  # allows at most log2(8)-1 = 2 parallel copies
     for _ in range(4):
-        h.add_edge(v, u, special=True)
+        h.add_edge(v, u)
+    # m = live_m = 5 allows at most log2c(5)-1 = 2 parallel copies
     report = validate_well_structured(h)
     assert any("parallel copies" in msg for msg in report)
 
@@ -116,9 +116,9 @@ def test_validate_flags_degree_violations():
     g = BipartiteGraph(2, 2, ((0, 0), (1, 1)))
     h = residual_graph(g, Matching([(0, 0), (1, 1)]))
     # second special partner for the same R vertex
-    h.add_edge(right_id(g, 0), left_id(g, 1), special=True)
+    h.add_edge(right_id(g, 0), left_id(g, 1))
     report = validate_well_structured(h)
-    assert any("several partners" in msg or "out-degree" in msg for msg in report)
+    assert any("out-degree" in msg for msg in report)
 
 
 @settings(max_examples=300, deadline=None)
@@ -156,18 +156,35 @@ def test_augment_accepts_exactly_the_residual_paths(data):
             augment(g, m, [path])
 
 
+def core_pairs(g, h, tail_side, head_side):
+    """(left, right) index pairs of h's live edges from tail_side to
+    head_side, each "L" or "R", in edge id order."""
+    side = {"L": h.is_left, "R": h.is_right}
+    pairs = []
+    for eid in h.live_edges():
+        u, v = h.tail[eid], h.head[eid]
+        if side[tail_side](u) and side[head_side](v):
+            left, right = (u, v) if tail_side == "L" else (v, u)
+            pairs.append((left - 2, right - 2 - g.n_left))
+    return pairs
+
+
 def test_round_trip_augment_keeps_structure():
     rng = random.Random(5)
     for _ in range(25):
         g, m, h = residual_of_random(rng, rng.randint(2, 9), rng.randint(2, 9), 0.4)
         assert validate_well_structured(h) == []
+        # the special (R->L) edges are exactly the matched pairs, reversed,
+        # and every L->R edge is an unmatched graph edge
+        assert sorted(core_pairs(g, h, "R", "L")) == sorted(m.pairs)
+        assert all(p in g.edge_set and p not in m for p in core_pairs(g, h, "L", "R"))
         # find one augmenting path by BFS, if any
         parent = {S_ID: None}
         stack = [S_ID]
         while stack:
             x = stack.pop(0)
-            for eid in h.g.out_live(x):
-                y = h.g.head[eid]
+            for eid in h.out_live(x):
+                y = h.head[eid]
                 if y not in parent:
                     parent[y] = x
                     stack.append(y)
@@ -195,10 +212,10 @@ def test_edge_disjoint_paths_are_internally_vertex_disjoint():
             queue = [S_ID]
             while queue:
                 x = queue.pop(0)
-                for eid in h.g.out_live(x):
+                for eid in h.out_live(x):
                     if eid in used:
                         continue
-                    y = h.g.head[eid]
+                    y = h.head[eid]
                     if y not in parent:
                         parent[y] = (x, eid)
                         queue.append(y)
@@ -211,7 +228,7 @@ def test_edge_disjoint_paths_are_internally_vertex_disjoint():
                 path.append(eid)
                 cur = prev
             used |= set(path)
-            verts = [h.g.tail[e] for e in reversed(path)] + [T_ID]
+            verts = [h.tail[e] for e in reversed(path)] + [T_ID]
             paths.append(verts)
         internal = [v for p in paths for v in p[1:-1]]
         assert len(internal) == len(set(internal))

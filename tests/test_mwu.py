@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import random
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import bipmatch
 from bipmatch.constants import doubling_levels, log2c
 from bipmatch.graph_core import BipartiteGraph, Matching, residual_graph
 from bipmatch.mwu import build_doubling_graph, mwu_run, mwu_yield_floor
+from bipmatch.oracles import hopcroft_karp
+from bipmatch.restricted_sssp import ReferenceSssp
 from conftest import random_bipartite
 
 
@@ -21,12 +24,11 @@ def test_doubling_graph_shape():
     lam = 4
     hat = build_doubling_graph(h, lam)
     levels = doubling_levels(lam)
-    assert len(hat.g.tail) == levels * len(h.g.tail)
-    for c in hat.g.live_edges():
+    assert len(hat.tail) == levels * len(h.tail)
+    for c in hat.live_edges():
         eid, j = divmod(c, levels)  # copy j of residual edge eid
-        assert (hat.g.tail[c], hat.g.head[c]) == (h.g.tail[eid], h.g.head[eid])
-        assert hat.g.length[c] == 1 << j
-        assert hat.special[c] == h.special[eid]
+        assert (hat.tail[c], hat.head[c]) == (h.tail[eid], h.head[eid])
+        assert hat.length[c] == 1 << j
     assert 1 << (levels - 1) > 8 * lam  # a copy above the budget always survives
 
 
@@ -39,7 +41,7 @@ def test_gate_rejects_small_delta(cnst):
 def test_rejects_residual_with_deleted_edges(cnst):
     # the backends read the graph once and keep one length per edge id
     h = disjoint_paths_residual(40)
-    h.g.delete_edge(0)
+    h.delete_edge(0)
     with pytest.raises(ValueError, match="deleted edges"):
         mwu_run(h, delta=40, backend="reference", cnst=cnst)
 
@@ -47,7 +49,7 @@ def test_rejects_residual_with_deleted_edges(cnst):
 def test_disjoint_paths_all_collected(cnst):
     k = 64
     h = disjoint_paths_residual(k)
-    m = h.g.live_m
+    m = h.live_m
     assert k >= cnst.mwu_gate(m)
     result = mwu_run(h, delta=k, backend="reference", cnst=cnst)
     # every one of the k disjoint routes is collected at least once
@@ -60,7 +62,7 @@ def test_disjoint_paths_all_collected(cnst):
 def test_no_path_warns(cnst):
     g = BipartiteGraph(3, 3, ())
     h = residual_graph(g, Matching())
-    result = mwu_run(h, delta=max(3, cnst.mwu_gate(max(2, h.g.live_m))),
+    result = mwu_run(h, delta=max(3, cnst.mwu_gate(max(2, h.live_m))),
                      backend="reference", cnst=cnst)
     assert result.paths == []
     assert result.warned_no_path
@@ -80,7 +82,7 @@ def test_full_backend_matches_reference_congestion(cnst):
     g = random_bipartite(rng, 40, 40, 0.12)
     h = residual_graph(g, Matching())
     delta = min(40, len({u for u, _ in g.edges}))
-    m = h.g.live_m
+    m = h.live_m
     if delta < cnst.mwu_gate(m):
         pytest.skip("instance below the MWU gate")
     res_full = mwu_run(h, delta=delta, backend="full", cnst=cnst)
@@ -92,15 +94,32 @@ def test_full_backend_matches_reference_congestion(cnst):
     assert len(res_ref.paths) >= mwu_yield_floor(delta, m)
 
 
-def test_full_backend_leaves_the_residual_graph_intact(cnst):
+def snapshot(h):
+    return (list(h.tail), list(h.head), list(h.length), list(h.alive), h.live_m)
+
+
+@pytest.mark.parametrize("backend", ["reference", "full"])
+def test_backends_do_not_write_to_the_residual_graph(cnst, backend):
     # the driver rounds over h after mwu_run, and falls back on it when the
-    # backend breaks its contract
-    k = 48
-    h = disjoint_paths_residual(k)
-    result = mwu_run(h, delta=k, backend="full", cnst=cnst)
-    assert result.paths
-    assert h.g.live_m == len(h.g.tail)
-    assert all(ln == 1 for ln in h.g.length)
+    # backend breaks its contract.  Inputs: 48 disjoint paths, gnp residuals
+    # from the empty matching, and warm-start residuals from a maximum
+    # matching less four pairs, which a lowered MWU gate admits
+    rng = random.Random(17)
+    warm = dataclasses.replace(cnst, mwu_gate_coeff=0.25)
+    runs = [(disjoint_paths_residual(48), 48, cnst)]
+    for trial in range(6):
+        g = random_bipartite(rng, 50, 50, 0.1)
+        if trial % 2 == 0:
+            start, run_cnst = Matching(), cnst
+        else:
+            pairs = sorted(hopcroft_karp(g)[0].pairs)
+            start, run_cnst = Matching(rng.sample(pairs, len(pairs) - 4)), warm
+        runs.append((residual_graph(g, start), g.n_left - len(start), run_cnst))
+    for h, delta, run_cnst in runs:
+        before = snapshot(h)
+        assert mwu_run(h, delta, backend=backend, cnst=run_cnst).paths
+        assert snapshot(h) == before
+    assert ReferenceSssp(h, delta=4, m_param=h.live_m).tree.g is h
 
 
 def test_no_library_module_builds_a_doubling_graph():
@@ -133,7 +152,7 @@ def test_yield_floor_on_random_instances(cnst):
         nl = nr = rng.randint(40, 90)
         g = random_bipartite(rng, nl, nr, rng.choice([0.08, 0.2]))
         h = residual_graph(g, Matching())
-        m = h.g.live_m
+        m = h.live_m
         delta = min(nl, nr)
         if m < 64 or delta < cnst.mwu_gate(m):
             continue

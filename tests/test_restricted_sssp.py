@@ -51,9 +51,9 @@ def drain(sssp, h):
         verts, eids = res
         assert verts[0] == S_ID and verts[-1] == T_ID
         assert len(set(verts)) == len(verts)
-        assert [(h.g.tail[e], h.g.head[e]) for e in eids] == list(zip(verts, verts[1:]))
+        assert [(h.tail[e], h.head[e]) for e in eids] == list(zip(verts, verts[1:]))
         for e in eids:
-            assert sssp.length[e] == h.g.length[e] << uses.get(e, 0)
+            assert sssp.length[e] == h.length[e] << uses.get(e, 0)
             uses[e] = uses.get(e, 0) + 1
         assert sum(sssp.length[e] for e in eids) <= 8 * sssp.lam
         paths.append((verts, eids))
@@ -64,10 +64,10 @@ def drain(sssp, h):
 def test_disjoint_paths_full_and_reference_agree():
     for k in (4, 12, 24):
         h1 = disjoint_paths_residual(k)
-        full = RestrictedSssp(h1, delta=k, m_param=h1.g.live_m, checked=True)
+        full = RestrictedSssp(h1, delta=k, m_param=h1.live_m, checked=True)
         got_full = drain(full, h1)
         h2 = disjoint_paths_residual(k)
-        ref = ReferenceSssp(h2, delta=k, m_param=h2.g.live_m)
+        ref = ReferenceSssp(h2, delta=k, m_param=h2.live_m)
         got_ref = drain(ref, h2)
         assert len(got_full) == len(got_ref) == k
 
@@ -83,9 +83,9 @@ def test_no_path_fails_immediately():
 def test_left_to_right_edges_have_zero_span():
     rng = random.Random(1)
     g, h = near_complete_residual(rng, 30, 30, 0.3)
-    rs = RestrictedSssp(h, delta=2, m_param=h.g.live_m, checked=True)
-    for eid in h.g.live_edges():
-        u, v = h.g.tail[eid], h.g.head[eid]
+    rs = RestrictedSssp(h, delta=2, m_param=h.live_m, checked=True)
+    for eid in h.live_edges():
+        u, v = h.tail[eid], h.head[eid]
         if rs.cluster_of[u] == rs.cluster_of[v]:
             continue
         ru = rs.clusters[rs.cluster_of[u]]
@@ -98,15 +98,15 @@ def test_parallel_edges_are_rejected():
     # copies are implicit, so a pair names one residual edge; residual
     # graphs are simple
     h = disjoint_paths_residual(6)
-    h.add_edge(h.g.tail[0], h.g.head[0], length=2)
+    h.add_edge(h.tail[0], h.head[0], length=2)
     with pytest.raises(ValueError, match="parallel edges 0 and"):
-        RestrictedSssp(h, delta=6, m_param=h.g.live_m)
+        RestrictedSssp(h, delta=6, m_param=h.live_m)
 
 
 def test_interval_bookkeeping_and_p1_after_lifecycle():
     rng = random.Random(3)
     g, h = near_complete_residual(rng, 26, 26, 0.25, leave=3)
-    rs = RestrictedSssp(h, delta=3, m_param=h.g.live_m, checked=True)
+    rs = RestrictedSssp(h, delta=3, m_param=h.live_m, checked=True)
     # checked mode re-verifies intervals, skip/span monotonicity, and the
     # per-bucket degree property after every operation
     drain(rs, h)
@@ -119,7 +119,7 @@ def test_cluster_cut_translates_to_split():
     # and the edges it moves outgrow their weight classes
     rng = random.Random(6)
     g, h = near_complete_residual(rng, 66, 66, 0.12, leave=2)
-    rs = RestrictedSssp(h, delta=2, m_param=h.g.live_m, checked=True)
+    rs = RestrictedSssp(h, delta=2, m_param=h.live_m, checked=True)
     assert rs.stats["splits"] == rs.stats["cuts"] > 0
     nonleaf = [cid for cid, rec in rs.clusters.items() if rec.state is not None]
     assert nonleaf, "expected a non-leaf root cluster at this scale"
@@ -142,7 +142,7 @@ def test_cluster_trees_count_es_scans():
     # trees scan and the scans are counted
     rng = random.Random(6)
     g, h = near_complete_residual(rng, 66, 66, 0.12, leave=2)
-    rs = RestrictedSssp(h, delta=2, m_param=h.g.live_m, checked=True)
+    rs = RestrictedSssp(h, delta=2, m_param=h.live_m, checked=True)
     drain(rs, h)
     assert rs.stats["clusters_spawned"] >= 1
     counters = rs.work_counters()
@@ -159,7 +159,7 @@ def test_cluster_without_short_pair_inside_is_shattered():
     ordered = sorted(hopcroft_karp(g)[0].pairs)
     dropped = set(rng.sample(ordered, 2))
     h = residual_graph(g, Matching([q for q in ordered if q not in dropped]))
-    m = h.g.live_m
+    m = h.live_m
     lam = mwu_lambda(m, 2)
     rs = RestrictedSssp(h, delta=2, m_param=m, lam=lam, checked=True)
     assert not rs._is_leaf(h.n - 2)
@@ -177,12 +177,12 @@ def test_cluster_with_one_short_pair_inside_spawns():
     k = 60
     base = disjoint_paths_residual(k)
     lam = 10_000
-    h = WellStructuredGraph(k, k, size_m=base.g.live_m)
-    for eid in base.g.live_edges():
-        u, v = base.g.tail[eid], base.g.head[eid]
+    h = WellStructuredGraph(k, k)
+    for eid in base.live_edges():
+        u, v = base.tail[eid], base.head[eid]
         short = (u, v) == (2, 2 + k)
-        h.add_edge(u, v, length=1 if short else 16, special=base.special[eid])
-    rs = RestrictedSssp(h, delta=2, m_param=h.g.live_m, lam=lam, checked=True)
+        h.add_edge(u, v, length=1 if short else 16)
+    rs = RestrictedSssp(h, delta=2, m_param=h.live_m, lam=lam, checked=True)
     assert not rs._is_leaf(h.n - 2)
     assert 1 < rs.long_threshold < 16
     assert sum(map(len, rs.out_pairs)) == 1
@@ -194,9 +194,9 @@ def test_full_backend_does_not_fail_while_short_supply_lasts():
     # answers stay within 8*lambda while the oracle distance is within lambda
     k = 16
     h = disjoint_paths_residual(k)
-    rs = RestrictedSssp(h, delta=k, m_param=h.g.live_m)
+    rs = RestrictedSssp(h, delta=k, m_param=h.live_m)
     for _ in range(k):
-        dist = dijkstra(h.g, S_ID)[T_ID]
+        dist = dijkstra(h, S_ID)[T_ID]
         if dist > rs.lam:
             break
         res = rs.query()
@@ -212,11 +212,11 @@ def test_contracted_graph_is_built_in_one_batch_and_lengthened_once_per_path(mon
             return _real(self, *args)
         monkeypatch.setattr(DagSssp, name, counted)
     g, h = near_complete_residual(random.Random(5), 12, 12, 0.3, leave=3)
-    rs = RestrictedSssp(h, delta=3, m_param=h.g.live_m, checked=True)
+    rs = RestrictedSssp(h, delta=3, m_param=h.live_m, checked=True)
     assert calls == {"add_edge": 0, "add_edges": 1, "increase_lengths": 0}
     # one DAG edge per crossing residual edge, whatever its skip
-    crossing = [eid for eid in h.g.live_edges()
-                if rs.cluster_of[h.g.tail[eid]] != rs.cluster_of[h.g.head[eid]]]
+    crossing = [eid for eid in h.live_edges()
+                if rs.cluster_of[h.tail[eid]] != rs.cluster_of[h.head[eid]]]
     assert len(rs.dag.tail) == len(crossing)
     paths = drain(rs, h)
     assert len(paths) == 3
@@ -228,7 +228,7 @@ def test_query_raises_contract_error_when_retries_run_out(monkeypatch):
         raise ClusterContractError("cluster dissolved")
 
     h = disjoint_paths_residual(4)
-    rs = RestrictedSssp(h, delta=4, m_param=h.g.live_m)
+    rs = RestrictedSssp(h, delta=4, m_param=h.live_m)
     monkeypatch.setattr(RestrictedSssp, "_assemble", dissolved)
     with pytest.raises(ClusterContractError, match="retries exhausted"):
         rs.query()
@@ -240,20 +240,20 @@ def delete_cheapest_copies(hat, lam, sssp, eids):
     Copy j of edge eid has id eid*levels + j and length 2^j."""
     levels = doubling_levels(lam)
     for e in eids:
-        c = next(c for c in range(e * levels, (e + 1) * levels) if hat.g.alive[c])
-        assert hat.g.length[c] == sssp.length[e]
-        hat.g.delete_edge(c)
+        c = next(c for c in range(e * levels, (e + 1) * levels) if hat.alive[c])
+        assert hat.length[c] == sssp.length[e]
+        hat.delete_edge(c)
 
 
 def test_reference_fail_legality():
     rng = random.Random(8)
     g, h = near_complete_residual(rng, 12, 12, 0.4, leave=2)
-    ref = ReferenceSssp(h, delta=4, m_param=h.g.live_m)
+    ref = ReferenceSssp(h, delta=4, m_param=h.live_m)
     hat = build_doubling_graph(h, ref.lam)
     while ref.queries_done < ref.delta:
         res = ref.query()
         if res is None:
-            assert dijkstra(hat.g, S_ID)[T_ID] > 8 * ref.lam
+            assert dijkstra(hat, S_ID)[T_ID] > 8 * ref.lam
             break
         delete_cheapest_copies(hat, ref.lam, ref, res[1])
         ref.delete_path_edges(res[1])
@@ -261,17 +261,17 @@ def test_reference_fail_legality():
 
 def test_delete_requires_membership_in_last_path():
     h = disjoint_paths_residual(4)
-    rs = RestrictedSssp(h, delta=4, m_param=h.g.live_m)
+    rs = RestrictedSssp(h, delta=4, m_param=h.live_m)
     res = rs.query()
     assert res is not None
-    outside = [e for e in h.g.live_edges() if e not in res[1]]
+    outside = [e for e in h.live_edges() if e not in res[1]]
     with pytest.raises(ValueError):
         rs.delete_path_edges([outside[0]])
 
 
 def test_query_budget_enforced():
     h = disjoint_paths_residual(3)
-    rs = RestrictedSssp(h, delta=1, m_param=h.g.live_m)
+    rs = RestrictedSssp(h, delta=1, m_param=h.live_m)
     res = rs.query()
     assert res is not None
     rs.delete_path_edges(res[1])
@@ -286,7 +286,7 @@ def test_lifecycle_fuzz_checked():
         g, h = near_complete_residual(rng, nl, nr, rng.choice([0.2, 0.5]),
                                       leave=rng.randint(1, 4))
         delta = max(1, min(4, h.n))
-        rs = RestrictedSssp(h, delta=delta, m_param=max(2, h.g.live_m), checked=True)
+        rs = RestrictedSssp(h, delta=delta, m_param=max(2, h.live_m), checked=True)
         drain(rs, h)
 
 
@@ -294,7 +294,7 @@ def test_bad_edge_budget_instrumented():
     rng = random.Random(12)
     g, h = near_complete_residual(rng, 66, 66, 0.12, leave=2)
     cn = Constants.desk()
-    m = h.g.live_m
+    m = h.live_m
     rs = RestrictedSssp(h, delta=2, m_param=m, checked=True)
     drain(rs, h)
     from bipmatch.constants import log2c
@@ -349,27 +349,27 @@ def test_reference_matches_every_copy_dijkstra(data):
             if u != v and u != T_ID and v != S_ID]
     # a pair may carry parallel edges, and all edges go in shuffled
     pairs = data.draw(st.lists(st.sampled_from(arcs), min_size=n, max_size=3 * n))
-    h = WellStructuredGraph(nl, nr, size_m=len(pairs))
+    h = WellStructuredGraph(nl, nr)
     for u, v in pairs:
         h.add_edge(u, v)
     lam = data.draw(st.integers(1, 3))
-    ref = ReferenceSssp(h, delta=40, m_param=h.g.live_m, lam=lam)
+    ref = ReferenceSssp(h, delta=40, m_param=h.live_m, lam=lam)
     # the oracle runs over the materialised copies, deleting each one it
-    # returns; copy c is one of edge c // levels, with length hat.g.length[c]
+    # returns; copy c is one of edge c // levels, with length hat.length[c]
     hat = build_doubling_graph(h, lam)
     levels = doubling_levels(lam)
     while ref.queries_done < ref.delta:
-        want = every_copy_dijkstra(hat.g, 8 * lam)
+        want = every_copy_dijkstra(hat, 8 * lam)
         got = ref.query()
         assert (got is None) == (want is None)
         if got is None:
             break
         assert got[0] == want[0]
         assert ([(e, ref.length[e]) for e in got[1]]
-                == [(c // levels, hat.g.length[c]) for c in want[1]])
+                == [(c // levels, hat.length[c]) for c in want[1]])
         ref.delete_path_edges(got[1])
         for c in want[1]:
-            hat.g.delete_edge(c)
+            hat.delete_edge(c)
 
 
 def test_reference_rejects_edges_added_after_construction():
@@ -377,15 +377,15 @@ def test_reference_rejects_edges_added_after_construction():
     # behind it, nor hold deleted edges when it is built
     for change in ("add", "delete"):
         h = disjoint_paths_residual(3)
-        ref = ReferenceSssp(h, delta=3, m_param=h.g.live_m)
+        ref = ReferenceSssp(h, delta=3, m_param=h.live_m)
         res = ref.query()
         assert res is not None
         ref.delete_path_edges(res[1])
         if change == "add":
             h.add_edge(S_ID, T_ID, length=1)
         else:
-            h.g.delete_edge(0)
+            h.delete_edge(0)
         with pytest.raises(ValueError, match="added or deleted"):
             ref.query()
     with pytest.raises(ValueError, match="deleted edges"):
-        ReferenceSssp(h, delta=3, m_param=h.g.live_m)
+        ReferenceSssp(h, delta=3, m_param=h.live_m)
