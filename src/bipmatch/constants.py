@@ -56,7 +56,6 @@ class Constants:
     cut_player_c: float = 2.0
     c_cmg: float = 4.0
     fake_frac: float = 0.03125
-    outer_cut_frac: float = 0.25
     outer_side_frac: float = 0.10
 
     # Cluster maintenance.
@@ -66,7 +65,6 @@ class Constants:
     shrink_exp: int = 1
     d_hat_coeff: float = 64.0     # expander diameter bound d_hat_coeff*log(n)/alpha0
     n_query_coeff: float = 4096.0  # per-phase query budget coefficient
-    budget_denom: float = 16.0    # cap on each expander-damage tally: alpha0*n/budget_denom
     union_denom: float = 2.0      # cap on the union of all damage: alpha0*n''/union_denom
     c_star: float = 1.0           # leaf threshold c_star*log^leaf_exp(|X|)
     leaf_exp: int = 1
@@ -100,7 +98,6 @@ class Constants:
             cut_player_c=128.0,
             c_cmg=16.0,
             fake_frac=0.25 / 1000,
-            outer_cut_frac=0.01,
             outer_side_frac=0.10,
             c_prime=float(2**11),
             d_exp=3,
@@ -108,7 +105,6 @@ class Constants:
             shrink_exp=5,
             d_hat_coeff=float(2**30),
             n_query_coeff=0.25 / 2**20,
-            budget_denom=float(2**20),
             union_denom=32.0,
             c_star=float(2**20),
             leaf_exp=6,
@@ -187,9 +183,6 @@ class Constants:
         """Phase ends once the live vertex count drops below this."""
         frac = 1.0 - 1.0 / (self.c_hat * log2c(n_total) ** self.shrink_exp)
         return math.floor(n_phase_start * frac)
-
-    def cluster_damage_cap(self, n: int) -> int:
-        return max(1, math.floor(self.alpha0 * n / self.budget_denom))
 
     def cluster_union_cap(self, n_expander: int) -> int:
         return max(1, math.floor(self.alpha0 * n_expander / self.union_denom))

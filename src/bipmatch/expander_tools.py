@@ -2,8 +2,8 @@
 chaining, well-structured cut conversion, and the cut-matching game.
 
 All operations are pure functions of their inputs plus a Constants handle.
-Cuts carry the claimed sparsity/crossing bound so callers and tests can
-recount them; embeddings carry declared length, congestion and fake-edge
+Cuts carry the claimed sparsity bound so callers and tests can recount
+them; embeddings carry declared length, congestion and fake-edge
 caps and can verify themselves against the host graph.
 """
 
@@ -26,8 +26,6 @@ class Cut:
     b: list[int]
     crossing: int
     sparsity_bound: float | None = None
-    crossing_cap: float | None = None
-    source: str = ""
 
     def min_side(self) -> int:
         return min(len(self.a), len(self.b))
@@ -182,7 +180,6 @@ def ball_grow(vertices: list[int], edges: list[tuple[int, int]], x: int, y: int,
         raise ValueError(f"distance budget d={d} below configured threshold")
     phi = cnst.ball_coeff * delta * log2c(n) / d
     limit = max(1, d // 4)
-    work = 0
 
     univ = set(vertices)
     s_fwd, s_rev = {x}, {y}
@@ -190,40 +187,29 @@ def ball_grow(vertices: list[int], edges: list[tuple[int, int]], x: int, y: int,
 
     def layer(side_set, frontier, adj):
         new_frontier = []
-        w = 0
         for u in frontier:
             for v in adj[u]:
-                w += 1
                 if v not in side_set:
                     side_set.add(v)
                     new_frontier.append(v)
         cross = 0
         for u in side_set:
             for v in adj[u]:
-                w += 1
                 if v not in side_set:
                     cross += 1
-        return new_frontier, cross, w
+        return new_frontier, cross
 
     def accept(side_set, cross) -> bool:
         small = min(len(side_set), n - len(side_set))
         return small > 0 and cross <= phi * small
 
     for _ in range(limit):
-        frontier_fwd, cross, w = layer(s_fwd, frontier_fwd, out)
-        work += w
+        frontier_fwd, cross = layer(s_fwd, frontier_fwd, out)
         if accept(s_fwd, cross):
-            cut = Cut(sorted(s_fwd), sorted(univ - s_fwd), cross,
-                      sparsity_bound=phi, source="ball_grow")
-            cut.work = work  # type: ignore[attr-defined]
-            return cut
-        frontier_rev, cross, w = layer(s_rev, frontier_rev, inn)
-        work += w
+            return Cut(sorted(s_fwd), sorted(univ - s_fwd), cross, sparsity_bound=phi)
+        frontier_rev, cross = layer(s_rev, frontier_rev, inn)
         if accept(s_rev, cross):
-            cut = Cut(sorted(univ - s_rev), sorted(s_rev), cross,
-                      sparsity_bound=phi, source="ball_grow")
-            cut.work = work  # type: ignore[attr-defined]
-            return cut
+            return Cut(sorted(univ - s_rev), sorted(s_rev), cross, sparsity_bound=phi)
     raise ValueError("no sparse layer found; dist(x,y) >= d precondition violated")
 
 
@@ -307,22 +293,21 @@ def chain_to_balanced(
     if not a_set or not b_set:
         raise ValueError("degenerate balanced cut")
     crossing = sum(1 for u, v in edges if u in a_set and v in b_set)
-    return Cut(sorted(a_set), sorted(b_set), crossing,
-               crossing_cap=sum(budgets[:-1]), source="chain")
+    return Cut(sorted(a_set), sorted(b_set), crossing)
 
 
 # ------------------------------------------- well-structured cut conversion
 
-def sparse_to_well_structured(core: CoreGraph, cut: Cut, max_phi: float = 0.25) -> Cut:
+def sparse_to_well_structured(core: CoreGraph, cut: Cut) -> Cut:
     """Convert a sparse cut into one crossed by special edges only.
 
     Every A-vertex with a regular edge into B moves to B; the only new
     crossing edges are the movers' incoming specials, so sparsity at most
-    doubles.  Rejects cuts sparser than 1/4.
+    doubles.  Rejects cuts of sparsity above 1/4.
     """
     phi = cut.sparsity()
-    if phi > max_phi:
-        raise ValueError(f"cut sparsity {phi:.3f} exceeds {max_phi}")
+    if phi > 0.25:
+        raise ValueError(f"cut sparsity {phi:.3f} exceeds 0.25")
     a_set = set(cut.a)
     b_set = set(cut.b)
     movers = set()
@@ -343,7 +328,7 @@ def sparse_to_well_structured(core: CoreGraph, cut: Cut, max_phi: float = 0.25) 
                     raise AssertionError("regular edge survived conversion")
                 crossing += 1
     return Cut(sorted(a_new), sorted(b_new), crossing,
-               sparsity_bound=max(2 * phi, 1e-12), source="well_structured")
+               sparsity_bound=max(2 * phi, 1e-12))
 
 
 # ------------------------------------------------------------ matching player
@@ -571,8 +556,7 @@ def matching_player(
         raise AssertionError("cut extraction exceeded the 2n/d' bound")
     if len(x_side) < z or len(y_side) < z:
         raise AssertionError("cut sides smaller than z")
-    return "cut", Cut(x_side, y_side, best_cross,
-                      crossing_cap=2 * n_game / d_prime, source="matching_player")
+    return "cut", Cut(x_side, y_side, best_cross)
 
 
 # ---------------------------------------------------------------- cut player
@@ -655,7 +639,7 @@ def cut_player_inner(vertices, w_edges, wids, cnst: Constants, relaxed=False):
         1 for wid in wids
         if w_edges[wid][0] in a_set and w_edges[wid][1] in b_set
     )
-    return "cut", Cut(cut.a, cut.b, crossing, source="cut_player_inner")
+    return "cut", Cut(cut.a, cut.b, crossing)
 
 
 def cut_player(vertices, w_edges, cnst: Constants):
@@ -681,12 +665,9 @@ def cut_player(vertices, w_edges, cnst: Constants):
     clusters = removed + [alive]
     cut = chain_to_balanced([w_edges[w] for w in all_wids], clusters,
                             removed_budget + [0])
-    # the crossing cap steers the game only; record it rather than enforce it,
-    # since desk-scale inner cuts are not 1/128-sparse
-    cap = cnst.outer_cut_frac * n
     if cut.min_side() < cnst.outer_side_frac * n:
         raise AssertionError("outer cut sides below the configured fraction")
-    return "cut", Cut(cut.a, cut.b, cut.crossing, crossing_cap=cap, source="cut_player")
+    return "cut", cut
 
 
 # --------------------------------------------------------------- embed or cut
@@ -728,7 +709,7 @@ def embed_or_cut(core: CoreGraph, d_prime: int, cnst: Constants):
             1 for eid in core.live_edges()
             if core.tail[eid] in a_set and core.head[eid] in b_set
         )
-        return Cut(a, b, crossing, source=cut.source)
+        return Cut(a, b, crossing)
 
     rounds = 0
     for _ in range(cnst.cmg_rounds(n)):
@@ -759,8 +740,7 @@ def embed_or_cut(core: CoreGraph, d_prime: int, cnst: Constants):
             matchings.append((src, dst, res))
         if hit_cut is not None:
             out = reinsert(hit_cut)
-            out.crossing_cap = 2 * n / d_prime + 1
-            if out.crossing > out.crossing_cap:
+            if out.crossing > 2 * n / d_prime + 1:
                 raise AssertionError("embed_or_cut cut bound violated")
             return "cut", out
         for src, dst, mp in matchings:

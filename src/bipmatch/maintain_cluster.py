@@ -8,7 +8,7 @@ depth-bounded shortest-path trees rooted at the expander plus a reverse index
 from host edges to the expander edges embedded through them.  A cleanup pass
 runs after every batch of deletions and restores three facts: every live
 vertex reaches / is reached by the expander within d, the expander core stays
-shallow, and the damage tallies stay within budget.
+shallow, and the damage tally plus the fake edges stays within the union cap.
 
 Queries are answered by routing through the expander: host path to an
 expander vertex, a BFS route inside the expander expanded via the embedding,
@@ -113,8 +113,7 @@ class ClusterState:
                 if self._all_special(cut):
                     # threshold cuts arrive well-structured already
                     ws = Cut(cut.a, cut.b, cut.crossing,
-                             sparsity_bound=cut.sparsity() or None,
-                             source="step1")
+                             sparsity_bound=cut.sparsity() or None)
                     break
                 if cut.sparsity() <= 0.25:
                     ws = sparse_to_well_structured(self.core, cut)
@@ -153,7 +152,6 @@ class ClusterState:
             self.phase_start_n, self.n0
         )
         self.damage = 0
-        self.damage_cap = self.cnst.cluster_damage_cap(self.n0)
         self.union_cap = self.cnst.cluster_union_cap(self.n2)
         self.phase_queries = 0
         self._build_trees()
@@ -334,10 +332,8 @@ class ClusterState:
                     raise AssertionError("well-structured ball reached the expander")
                 rest = sorted(set(core.live_vertices()) - ball)
                 if forward:
-                    return Cut(sorted(ball), rest, len(crossing),
-                               sparsity_bound=phi, source="ball2")
-                return Cut(rest, sorted(ball), len(crossing),
-                           sparsity_bound=phi, source="ball2")
+                    return Cut(sorted(ball), rest, len(crossing), sparsity_bound=phi)
+                return Cut(rest, sorted(ball), len(crossing), sparsity_bound=phi)
             grew = False
             for eid in crossing:
                 other = core.head[eid] if forward else core.tail[eid]

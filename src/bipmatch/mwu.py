@@ -66,10 +66,12 @@ def mwu_run(h: WellStructuredGraph, delta: int, backend: str = "reference",
         )
     lam = mwu_lambda(m, delta)
     delta_eff = min(delta, h.n)
-    backends = {"reference": ReferenceSssp, "full": RestrictedSssp}
-    if backend not in backends:
+    if backend == "reference":
+        sssp = ReferenceSssp(h, delta_eff, lam=lam)
+    elif backend == "full":
+        sssp = RestrictedSssp(h, delta_eff, cnst=cnst, lam=lam, checked=checked)
+    else:
         raise ValueError(f"unknown backend {backend!r}")
-    sssp = backends[backend](h, delta_eff, m, cnst=cnst, lam=lam, checked=checked)
 
     usage_cap = log2c(m)
     usage: dict[int, int] = {}

@@ -56,6 +56,7 @@ class ClusterRecord:
     d_star: int = 0
     origin_size: int = 0
     bad_edges: int = 0
+    residual_eid: list[int] = field(default_factory=list)  # per core edge
 
 
 def _skip_between(ru: ClusterRecord, rv: ClusterRecord) -> int:
@@ -68,19 +69,27 @@ def _skip_between(ru: ClusterRecord, rv: ClusterRecord) -> int:
 
 
 class RestrictedSssp:
-    def __init__(self, graph: WellStructuredGraph, delta: int, m_param: int,
+    def __init__(self, graph: WellStructuredGraph, delta: int,
                  cnst: Constants | None = None, lam: int | None = None,
                  checked: bool = False):
         if delta < 1 or delta > graph.n:
             raise ValueError("Delta must be in [1, |V|]")
         if graph.live_m != len(graph.tail):
             raise ValueError("RestrictedSssp needs a graph without deleted edges")
+        # copies are implicit, so a pair names one residual edge
+        for adj in graph.out_adj:
+            first: dict[int, int] = {}
+            for eid in adj:
+                prev = first.setdefault(graph.head[eid], eid)
+                if prev != eid:
+                    raise ValueError(f"parallel edges {prev} and {eid}: "
+                                     "a residual graph is simple")
         self.graph = graph
         self.delta = delta
-        self.m_param = max(2, m_param)
         self.cnst = cnst or Constants.desk()
         self.checked = checked
-        self.lam = lam if lam is not None else raw_lambda(self.m_param, delta)
+        m = max(2, graph.live_m)
+        self.lam = lam if lam is not None else raw_lambda(m, delta)
         # each edge's current (cheapest live copy's) length; h is never written
         self.length = list(graph.length)
         self._validate_lengths()
@@ -88,8 +97,8 @@ class RestrictedSssp:
         n = graph.n
         self.n = n
         self.d = self.cnst.rsssp_d(n, delta)
-        self.logm = log2c(self.m_param)
-        self.long_threshold = self.lam / (64.0 * self.d * self.logm)
+        # an edge is short while its length is below this
+        self.long_threshold = self.lam / (64.0 * self.d * log2c(m))
         self.gamma = self.cnst.rsssp_gamma(n, self.d, delta)
 
         self.queries_done = 0
@@ -101,17 +110,6 @@ class RestrictedSssp:
             "cluster_queries": 0, "clusters_spawned": 0,
         }
         self._banked_es_scans = 0  # scans of cluster trees already torn down
-
-        # simple short-edge graph bookkeeping
-        self.out_pairs: list[set[int]] = [set() for _ in range(n)]
-        self.pair_eid: dict[tuple[int, int], int] = {}
-        for eid, pair in enumerate(zip(graph.tail, graph.head)):
-            if pair in self.pair_eid:
-                raise ValueError(f"parallel edges {self.pair_eid[pair]} and {eid}: "
-                                 "a residual graph is simple")
-            self.pair_eid[pair] = eid
-            if self.length[eid] < self.long_threshold:
-                self.out_pairs[pair[0]].add(pair[1])
 
         # approximate topological order
         self.cluster_of: list[int] = [-1] * n
@@ -157,9 +155,14 @@ class RestrictedSssp:
     def _is_leaf(self, size: int) -> bool:
         return size < 2 or self._d_x(size) < self.cnst.leaf_threshold(size)
 
+    def _short_edges_inside(self, members: set[int], tails):
+        """Ids of the short edges out of tails with both ends in members."""
+        g, length, cap = self.graph, self.length, self.long_threshold
+        return (eid for u in tails for eid in g.out_adj[u]
+                if length[eid] < cap and g.head[eid] in members)
+
     def _has_short_pair_inside(self, rec: ClusterRecord) -> bool:
-        members = rec.members
-        return any(h in members for u in members for h in self.out_pairs[u])
+        return any(self._short_edges_inside(rec.members, rec.members))
 
     def _drop_state(self, rec: ClusterRecord) -> None:
         """Bank the scans of a cluster's trees and tear its state down."""
@@ -195,12 +198,16 @@ class RestrictedSssp:
         rec.origin_size = rec.size
         rec.local2global = sorted(rec.members)
         rec.global2local = {g: i for i, g in enumerate(rec.local2global)}
-        side = ["L" if self.graph.is_left(g) else "R" for g in rec.local2global]
+        g = self.graph
+        side = ["L" if g.is_left(v) else "R" for v in rec.local2global]
         core = CoreGraph(len(rec.local2global), side)
-        for g in rec.local2global:
-            for h in sorted(self.out_pairs[g]):
-                if h in rec.members:
-                    core.add_edge(rec.global2local[g], rec.global2local[h])
+        # core edge i is residual edge residual_eid[i]: by tail in local
+        # order, then by head
+        rec.residual_eid = [eid for u in rec.local2global
+                            for eid in sorted(self._short_edges_inside(rec.members, [u]),
+                                              key=g.head.__getitem__)]
+        for eid in rec.residual_eid:
+            core.add_edge(rec.global2local[g.tail[eid]], rec.global2local[g.head[eid]])
         sink = lambda st, em, cid=cid: self._on_cut(cid, em)
         rec.state = ClusterState(core, rec.d_star, self.delta, sink,
                                  cnst=self.cnst, checked=self.checked)
@@ -242,11 +249,8 @@ class RestrictedSssp:
         lefts = [v for v in members if self.graph.is_left(v)]
         rights = [v for v in members if not self.graph.is_left(v)]
         order = lefts + rights
-        # bad edges: the special pairs inside the cluster
-        for u in rights:
-            for h in self.out_pairs[u]:
-                if h in rec.members:
-                    rec.bad_edges += 1
+        # bad edges: the short special edges inside the cluster
+        rec.bad_edges += sum(1 for _ in self._short_edges_inside(rec.members, rights))
         rec.members = {order[0]}
         rec.size = 1
         rec.state = None
@@ -428,8 +432,8 @@ class RestrictedSssp:
             self.stats["emergency_shatters"] += 1
             self._dissolve(cid)
             raise
-        gverts = [rec.local2global[i] for i in lverts]
-        return gverts, [self.pair_eid[pair] for pair in zip(gverts, gverts[1:])]
+        return ([rec.local2global[i] for i in lverts],
+                [rec.residual_eid[le] for le in leids])
 
     def _dissolve(self, cid: int) -> None:
         """Emergency fallback: split a misbehaving cluster into singletons."""
@@ -453,7 +457,6 @@ class RestrictedSssp:
             if deid is not None:
                 updates.append((deid, self.length[eid]))
             if self.length[eid] // 2 < self.long_threshold <= self.length[eid]:
-                self.out_pairs[u].discard(v)
                 cu, cv = self.cluster_of[u], self.cluster_of[v]
                 if cu == cv:
                     rec = self.clusters[cu]
@@ -551,18 +554,16 @@ class ReferenceSssp:
     deleted since.
     """
 
-    def __init__(self, graph: WellStructuredGraph, delta: int, m_param: int,
-                 cnst: Constants | None = None, lam: int | None = None,
-                 checked: bool = False):
+    def __init__(self, graph: WellStructuredGraph, delta: int, lam: int | None = None):
+        if graph.live_m != len(graph.tail):
+            raise ValueError("ReferenceSssp needs a graph without deleted edges")
         self.graph = graph
         self.delta = delta
-        self.lam = lam if lam is not None else raw_lambda(max(2, m_param), delta)
+        self.lam = lam if lam is not None else raw_lambda(max(2, graph.live_m), delta)
         self.queries_done = 0
         self.failed = False
         self.last_path: set[int] = set()
         self.stats = {"queries": 0, "fails": 0}
-        if graph.live_m != len(graph.tail):
-            raise ValueError("ReferenceSssp needs a graph without deleted edges")
         self._edges_built = len(graph.tail)
         self.tree = EsTree(graph, S_ID, 8 * self.lam)
         self.length = self.tree.length  # each edge's current length

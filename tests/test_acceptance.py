@@ -270,7 +270,7 @@ def test_criterion_5_cut_certificates():
                 pairs.append((u, v))
                 used_r.add(v)
         h = residual_graph(g, Matching(pairs[:-2] if len(pairs) > 2 else []))
-        rs = RestrictedSssp(h, delta=2, m_param=h.live_m, checked=True)
+        rs = RestrictedSssp(h, delta=2, checked=True)
         emissions += rs.stats["cuts"]
         while rs.queries_done < rs.delta:
             res = rs.query()

@@ -211,7 +211,7 @@ def test_sparse_to_ws_rejects_dense(cnst):
     core = _two_block_core()
     cut = Cut(a=[0], b=[1, 2, 3], crossing=1)
     with pytest.raises(ValueError):
-        sparse_to_well_structured(core, cut, max_phi=0.25)
+        sparse_to_well_structured(core, cut)
 
 
 def test_sparse_to_ws_random(cnst):

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import itertools
 import random
 from pathlib import Path
 
@@ -69,12 +70,25 @@ def test_no_path_warns(cnst):
 
 
 def test_paths_have_unit_mwu_length(cnst):
-    k = 48
-    h = disjoint_paths_residual(k)
-    result = mwu_run(h, delta=k, backend="reference", cnst=cnst)
-    budget = 8 * result.lam
-    for eids, verts in zip(result.paths, result.vertex_paths):
-        assert len(eids) == len(verts) - 1
+    # when a path is collected, each of its edges has its initial length
+    # doubled once per earlier collected path through it, and the path's
+    # total is at most 8*lambda, which is MWU length 1.  The gnp residual
+    # routes some edge through two paths, so a doubled length is summed
+    gnp = random_bipartite(random.Random(4), 40, 40, 0.12)
+    max_uses = 0
+    for backend, (h, delta) in itertools.product(
+            ("reference", "full"),
+            ((disjoint_paths_residual(48), 48), (residual_graph(gnp, Matching()), 40))):
+        result = mwu_run(h, delta=delta, backend=backend, cnst=cnst)
+        assert result.paths
+        uses: dict[int, int] = {}
+        for eids, verts in zip(result.paths, result.vertex_paths):
+            assert len(eids) == len(verts) - 1
+            assert sum(h.length[e] << uses.get(e, 0) for e in eids) <= 8 * result.lam
+            for e in eids:
+                uses[e] = uses.get(e, 0) + 1
+        max_uses = max(max_uses, *uses.values())
+    assert max_uses > 1
 
 
 def test_full_backend_matches_reference_congestion(cnst):
@@ -119,7 +133,7 @@ def test_backends_do_not_write_to_the_residual_graph(cnst, backend):
         before = snapshot(h)
         assert mwu_run(h, delta, backend=backend, cnst=run_cnst).paths
         assert snapshot(h) == before
-    assert ReferenceSssp(h, delta=4, m_param=h.live_m).tree.g is h
+    assert ReferenceSssp(h, delta=4).tree.g is h
 
 
 def test_no_library_module_builds_a_doubling_graph():

@@ -1,4 +1,6 @@
+import hashlib
 import heapq
+import json
 import math
 import random
 
@@ -64,10 +66,10 @@ def drain(sssp, h):
 def test_disjoint_paths_full_and_reference_agree():
     for k in (4, 12, 24):
         h1 = disjoint_paths_residual(k)
-        full = RestrictedSssp(h1, delta=k, m_param=h1.live_m, checked=True)
+        full = RestrictedSssp(h1, delta=k, checked=True)
         got_full = drain(full, h1)
         h2 = disjoint_paths_residual(k)
-        ref = ReferenceSssp(h2, delta=k, m_param=h2.live_m)
+        ref = ReferenceSssp(h2, delta=k)
         got_ref = drain(ref, h2)
         assert len(got_full) == len(got_ref) == k
 
@@ -75,7 +77,7 @@ def test_disjoint_paths_full_and_reference_agree():
 def test_no_path_fails_immediately():
     g = BipartiteGraph(2, 2, ())
     h = residual_graph(g, Matching())
-    rs = RestrictedSssp(h, delta=2, m_param=4)
+    rs = RestrictedSssp(h, delta=2)
     assert rs.query() is None
     assert rs.failed
 
@@ -83,7 +85,7 @@ def test_no_path_fails_immediately():
 def test_left_to_right_edges_have_zero_span():
     rng = random.Random(1)
     g, h = near_complete_residual(rng, 30, 30, 0.3)
-    rs = RestrictedSssp(h, delta=2, m_param=h.live_m, checked=True)
+    rs = RestrictedSssp(h, delta=2, checked=True)
     for eid in h.live_edges():
         u, v = h.tail[eid], h.head[eid]
         if rs.cluster_of[u] == rs.cluster_of[v]:
@@ -100,13 +102,13 @@ def test_parallel_edges_are_rejected():
     h = disjoint_paths_residual(6)
     h.add_edge(h.tail[0], h.head[0], length=2)
     with pytest.raises(ValueError, match="parallel edges 0 and"):
-        RestrictedSssp(h, delta=6, m_param=h.live_m)
+        RestrictedSssp(h, delta=6)
 
 
 def test_interval_bookkeeping_and_p1_after_lifecycle():
     rng = random.Random(3)
     g, h = near_complete_residual(rng, 26, 26, 0.25, leave=3)
-    rs = RestrictedSssp(h, delta=3, m_param=h.live_m, checked=True)
+    rs = RestrictedSssp(h, delta=3, checked=True)
     # checked mode re-verifies intervals, skip/span monotonicity, and the
     # per-bucket degree property after every operation
     drain(rs, h)
@@ -119,7 +121,7 @@ def test_cluster_cut_translates_to_split():
     # and the edges it moves outgrow their weight classes
     rng = random.Random(6)
     g, h = near_complete_residual(rng, 66, 66, 0.12, leave=2)
-    rs = RestrictedSssp(h, delta=2, m_param=h.live_m, checked=True)
+    rs = RestrictedSssp(h, delta=2, checked=True)
     assert rs.stats["splits"] == rs.stats["cuts"] > 0
     nonleaf = [cid for cid, rec in rs.clusters.items() if rec.state is not None]
     assert nonleaf, "expected a non-leaf root cluster at this scale"
@@ -142,7 +144,7 @@ def test_cluster_trees_count_es_scans():
     # trees scan and the scans are counted
     rng = random.Random(6)
     g, h = near_complete_residual(rng, 66, 66, 0.12, leave=2)
-    rs = RestrictedSssp(h, delta=2, m_param=h.live_m, checked=True)
+    rs = RestrictedSssp(h, delta=2, checked=True)
     drain(rs, h)
     assert rs.stats["clusters_spawned"] >= 1
     counters = rs.work_counters()
@@ -161,9 +163,9 @@ def test_cluster_without_short_pair_inside_is_shattered():
     h = residual_graph(g, Matching([q for q in ordered if q not in dropped]))
     m = h.live_m
     lam = mwu_lambda(m, 2)
-    rs = RestrictedSssp(h, delta=2, m_param=m, lam=lam, checked=True)
+    rs = RestrictedSssp(h, delta=2, lam=lam, checked=True)
     assert not rs._is_leaf(h.n - 2)
-    assert not any(rs.out_pairs)
+    assert all(ln >= rs.long_threshold for ln in rs.length)
     assert rs.stats["clusters_spawned"] == 0
     assert rs.stats["cuts"] == 0
     assert rs.stats["shatters"] == 1
@@ -182,11 +184,39 @@ def test_cluster_with_one_short_pair_inside_spawns():
         u, v = base.tail[eid], base.head[eid]
         short = (u, v) == (2, 2 + k)
         h.add_edge(u, v, length=1 if short else 16)
-    rs = RestrictedSssp(h, delta=2, m_param=h.live_m, lam=lam, checked=True)
+    rs = RestrictedSssp(h, delta=2, lam=lam, checked=True)
     assert not rs._is_leaf(h.n - 2)
     assert 1 < rs.long_threshold < 16
-    assert sum(map(len, rs.out_pairs)) == 1
+    assert sum(ln < rs.long_threshold for ln in rs.length) == 1
     assert rs.stats["clusters_spawned"] >= 1
+
+
+def planted_core_residual(seed, k=60, p=0.3):
+    """A perfect matching (i, i) on a core of k pairs with random extra
+    edges, plus two free left vertices with edges into the core and two free
+    right vertices with edges out of it."""
+    rng = random.Random(seed)
+    edges = {(i, i) for i in range(k)}
+    edges |= {(u, v) for u in range(k) for v in range(k) if u != v and rng.random() < p}
+    for u in (k, k + 1):
+        edges |= {(u, v) for v in rng.sample(range(k), 3)}
+    for v in (k, k + 1):
+        edges |= {(u, v) for u in rng.sample(range(k), 3)}
+    g = BipartiteGraph(k + 2, k + 2, tuple(sorted(edges)))
+    return residual_graph(g, Matching([(i, i) for i in range(k)]))
+
+
+def test_query_routes_through_a_live_cluster():
+    # at the default lambda every edge of the planted core is short, so the
+    # root cluster spawns and each augmenting path crosses it by a route
+    # that the cluster state answers
+    h = planted_core_residual(0)
+    rs = RestrictedSssp(h, delta=2, checked=True)
+    paths = drain(rs, h)
+    assert rs.stats["clusters_spawned"] >= 1
+    assert rs.stats["cluster_queries"] > 0
+    text = json.dumps(paths, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "45aa731580bcb072"
 
 
 def test_full_backend_does_not_fail_while_short_supply_lasts():
@@ -194,7 +224,7 @@ def test_full_backend_does_not_fail_while_short_supply_lasts():
     # answers stay within 8*lambda while the oracle distance is within lambda
     k = 16
     h = disjoint_paths_residual(k)
-    rs = RestrictedSssp(h, delta=k, m_param=h.live_m)
+    rs = RestrictedSssp(h, delta=k)
     for _ in range(k):
         dist = dijkstra(h, S_ID)[T_ID]
         if dist > rs.lam:
@@ -212,7 +242,7 @@ def test_contracted_graph_is_built_in_one_batch_and_lengthened_once_per_path(mon
             return _real(self, *args)
         monkeypatch.setattr(DagSssp, name, counted)
     g, h = near_complete_residual(random.Random(5), 12, 12, 0.3, leave=3)
-    rs = RestrictedSssp(h, delta=3, m_param=h.live_m, checked=True)
+    rs = RestrictedSssp(h, delta=3, checked=True)
     assert calls == {"add_edge": 0, "add_edges": 1, "increase_lengths": 0}
     # one DAG edge per crossing residual edge, whatever its skip
     crossing = [eid for eid in h.live_edges()
@@ -228,7 +258,7 @@ def test_query_raises_contract_error_when_retries_run_out(monkeypatch):
         raise ClusterContractError("cluster dissolved")
 
     h = disjoint_paths_residual(4)
-    rs = RestrictedSssp(h, delta=4, m_param=h.live_m)
+    rs = RestrictedSssp(h, delta=4)
     monkeypatch.setattr(RestrictedSssp, "_assemble", dissolved)
     with pytest.raises(ClusterContractError, match="retries exhausted"):
         rs.query()
@@ -248,7 +278,7 @@ def delete_cheapest_copies(hat, lam, sssp, eids):
 def test_reference_fail_legality():
     rng = random.Random(8)
     g, h = near_complete_residual(rng, 12, 12, 0.4, leave=2)
-    ref = ReferenceSssp(h, delta=4, m_param=h.live_m)
+    ref = ReferenceSssp(h, delta=4)
     hat = build_doubling_graph(h, ref.lam)
     while ref.queries_done < ref.delta:
         res = ref.query()
@@ -261,7 +291,7 @@ def test_reference_fail_legality():
 
 def test_delete_requires_membership_in_last_path():
     h = disjoint_paths_residual(4)
-    rs = RestrictedSssp(h, delta=4, m_param=h.live_m)
+    rs = RestrictedSssp(h, delta=4)
     res = rs.query()
     assert res is not None
     outside = [e for e in h.live_edges() if e not in res[1]]
@@ -271,7 +301,7 @@ def test_delete_requires_membership_in_last_path():
 
 def test_query_budget_enforced():
     h = disjoint_paths_residual(3)
-    rs = RestrictedSssp(h, delta=1, m_param=h.live_m)
+    rs = RestrictedSssp(h, delta=1)
     res = rs.query()
     assert res is not None
     rs.delete_path_edges(res[1])
@@ -286,7 +316,7 @@ def test_lifecycle_fuzz_checked():
         g, h = near_complete_residual(rng, nl, nr, rng.choice([0.2, 0.5]),
                                       leave=rng.randint(1, 4))
         delta = max(1, min(4, h.n))
-        rs = RestrictedSssp(h, delta=delta, m_param=max(2, h.live_m), checked=True)
+        rs = RestrictedSssp(h, delta=delta, checked=True)
         drain(rs, h)
 
 
@@ -295,7 +325,7 @@ def test_bad_edge_budget_instrumented():
     g, h = near_complete_residual(rng, 66, 66, 0.12, leave=2)
     cn = Constants.desk()
     m = h.live_m
-    rs = RestrictedSssp(h, delta=2, m_param=m, checked=True)
+    rs = RestrictedSssp(h, delta=2, checked=True)
     drain(rs, h)
     from bipmatch.constants import log2c
     assert rs.dag.m_counted <= 64 * m * log2c(m) ** 3
@@ -353,7 +383,7 @@ def test_reference_matches_every_copy_dijkstra(data):
     for u, v in pairs:
         h.add_edge(u, v)
     lam = data.draw(st.integers(1, 3))
-    ref = ReferenceSssp(h, delta=40, m_param=h.live_m, lam=lam)
+    ref = ReferenceSssp(h, delta=40, lam=lam)
     # the oracle runs over the materialised copies, deleting each one it
     # returns; copy c is one of edge c // levels, with length hat.length[c]
     hat = build_doubling_graph(h, lam)
@@ -377,7 +407,7 @@ def test_reference_rejects_edges_added_after_construction():
     # behind it, nor hold deleted edges when it is built
     for change in ("add", "delete"):
         h = disjoint_paths_residual(3)
-        ref = ReferenceSssp(h, delta=3, m_param=h.live_m)
+        ref = ReferenceSssp(h, delta=3)
         res = ref.query()
         assert res is not None
         ref.delete_path_edges(res[1])
@@ -388,4 +418,4 @@ def test_reference_rejects_edges_added_after_construction():
         with pytest.raises(ValueError, match="added or deleted"):
             ref.query()
     with pytest.raises(ValueError, match="deleted edges"):
-        ReferenceSssp(h, delta=3, m_param=h.live_m)
+        ReferenceSssp(h, delta=3)
