@@ -12,7 +12,7 @@ import sys
 import time
 
 from .constants import Constants
-from .driver import DriverConfig, max_matching
+from .driver import BACKENDS, DriverConfig, max_matching
 from .graph_core import BipartiteGraph, parse_graph_text
 from .oracles import ford_fulkerson_matching, hopcroft_karp
 
@@ -22,6 +22,7 @@ CSV_HEADER = ("generator,seed,n_left,n_right,m,algo,backend,matching,wall_ms,"
 COLUMNS = CSV_HEADER.split(",")
 # every column after wall_ms except verified is a per-run counter
 COUNTERS = [c for c in COLUMNS[COLUMNS.index("wall_ms") + 1:] if c != "verified"]
+ALGOS = ("hk", "ff", "paper")
 
 
 def generate(kind: str, params: dict, seed: int) -> BipartiteGraph:
@@ -82,7 +83,7 @@ def _run_one(g: BipartiteGraph, algo: str, backend: str, cnst: Constants,
         counters["phases"] = phases
     elif algo == "ff":
         matching = ford_fulkerson_matching(g)
-    elif algo == "paper":
+    else:  # paper
         cfg = DriverConfig(constants=cnst, backend=backend, target=target)
         matching, report = max_matching(g, cfg)
         counters.update((k, v) for k, v in report.backend_stats.items() if k in counters)
@@ -96,8 +97,6 @@ def _run_one(g: BipartiteGraph, algo: str, backend: str, cnst: Constants,
                 print(f"# phase {i}: delta={ph.delta} collected={ph.collected} "
                       f"rounded={ph.rounded} fallback={ph.fallback} "
                       f"{ph.millis:.1f}ms", file=sys.stderr)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
     wall_ms = (time.perf_counter() - t0) * 1e3
     return matching, wall_ms, counters
 
@@ -106,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="bipmatch-bench",
                                  description="bipartite matching benchmark harness")
     ap.add_argument("--algo", default="paper", help="comma list of hk,ff,paper")
-    ap.add_argument("--backend", default="reference", choices=["reference", "full"])
+    ap.add_argument("--backend", default="reference", choices=BACKENDS)
     ap.add_argument("--constants", help="key=value constants file")
     ap.add_argument("--gen", help="random-gnp | regular | disjoint-paths | two-blocks")
     ap.add_argument("--n", type=int, default=16)
@@ -126,6 +125,11 @@ def main(argv: list[str] | None = None) -> int:
                          "matches the Hopcroft-Karp oracle")
     ap.add_argument("--trace", action="store_true")
     args = ap.parse_args(argv)
+    algos = [a.strip() for a in args.algo.split(",") if a.strip()]
+    if not algos or any(a not in ALGOS for a in algos):
+        print(f"error: --algo takes a comma list of {','.join(ALGOS)}, got {args.algo!r}",
+              file=sys.stderr)
+        return 2
 
     try:
         cnst = Constants.from_file(args.constants) if args.constants else Constants.desk()
@@ -152,7 +156,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    algos = [a.strip() for a in args.algo.split(",") if a.strip()]
     rows = [CSV_HEADER]
     ok = True
     try:

@@ -79,7 +79,11 @@ class Constants:
     def __post_init__(self) -> None:
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, (int, float)) and f.name != "ball_pre_coeff" and v < 0:
+            if not isinstance(v, (int, float)):
+                continue
+            if not math.isfinite(v):
+                raise ValueError(f"constant {f.name} must be finite, got {v}")
+            if f.name != "ball_pre_coeff" and v < 0:
                 raise ValueError(f"constant {f.name} must be nonnegative, got {v}")
         if self.alpha0 <= 0 or self.degree_bound <= 0:
             raise ValueError("alpha0 and degree_bound must be positive")

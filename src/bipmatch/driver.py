@@ -3,9 +3,10 @@ deterministic rounding of congested path collections, and one finishing
 maximum flow over the residual graph.
 
 Rounding and the finishing flow share one unit-capacity blocking-flow
-routine, disjoint_paths: Dinic's phases (one level BFS, then a current-arc
-DFS that augments along every shortest path), which over all edges of a
-residual graph are Hopcroft-Karp's O(sqrt n) phases.  Its arc order makes
+routine, disjoint_paths, which reads a DirectedGraph in place: the support
+of a path collection, or the residual graph itself.  Its Dinic phases (one
+level BFS, then a current-arc DFS along every shortest path) are, over a
+residual graph, Hopcroft-Karp's O(sqrt n) phases, and its arc order makes
 it return exactly the paths of one Edmonds-Karp BFS per path.
 
 The binary search over the optimum is replaced by running to exhaustion: the
@@ -21,16 +22,19 @@ import time
 from dataclasses import dataclass, field
 
 from .constants import Constants
-from .graph_core import (BipartiteGraph, Matching, S_ID, T_ID, WellStructuredGraph,
-                         augment, bfs_tree, residual_graph, tree_path)
+from .graph_core import (BipartiteGraph, DirectedGraph, Matching, S_ID, T_ID,
+                         WellStructuredGraph, augment, bfs_tree, residual_graph, tree_path)
 from .maintain_cluster import ClusterContractError
 from .mwu import MwuResult, mwu_run
+
+
+BACKENDS = ("reference", "full")
 
 
 @dataclass
 class DriverConfig:
     constants: Constants = field(default_factory=Constants.desk)
-    backend: str = "reference"          # "reference" | "full"
+    backend: str = "reference"          # one of BACKENDS
     delta_star: int | None = None       # override of n^(5/3)/m^(2/3)
     target: int | None = None           # stop once the matching reaches this size
     checked: bool = False
@@ -75,21 +79,21 @@ def find_augmenting_path(h: WellStructuredGraph) -> list[int] | None:
     return tree_path(parent, T_ID)[0] if T_ID in parent else None
 
 
-def phase_levels(out_of, in_of, flow, tail, head) -> list[int] | None:
+def phase_levels(g: DirectedGraph, flow: list[int]) -> list[int] | None:
     """BFS levels of one blocking-flow phase, or None if t is unreachable.
 
-    The residual arcs of the unit flow over the offered edges (out_of[u] and
-    in_of[u]: u's offered out- and in-edges in id order) are the flow-free
-    out-edges forward and the flow-carrying in-edges backward.  level[v] is
-    the distance from s to v over them, -1 if v was not reached.  The search
-    stops at t, when every vertex nearer than t has its level.
+    The residual arcs of the unit flow (flow[e] is 0 or 1) over g's edges
+    are the flow-free out-edges forward and the flow-carrying in-edges
+    backward.  level[v] is the distance from s to v over them, -1 if v was
+    not reached.  The search stops at t, when every nearer vertex has its level.
     """
-    level = [-1] * len(out_of)
+    out_adj, in_adj, tail, head = g.out_adj, g.in_adj, g.tail, g.head
+    level = [-1] * g.n
     level[S_ID] = 0
     queue = [S_ID]
     for u in queue:  # grows while it is read: a FIFO queue
         lv = level[u] + 1
-        for e in out_of[u]:
+        for e in out_adj[u]:
             if flow[e] == 0:
                 v = head[e]
                 if level[v] < 0:
@@ -97,7 +101,7 @@ def phase_levels(out_of, in_of, flow, tail, head) -> list[int] | None:
                     if v == T_ID:
                         return level
                     queue.append(v)
-        for e in in_of[u]:
+        for e in in_adj[u]:
             if flow[e] == 1:
                 v = tail[e]
                 if level[v] < 0:
@@ -108,52 +112,40 @@ def phase_levels(out_of, in_of, flow, tail, head) -> list[int] | None:
     return None
 
 
-def disjoint_paths(h: WellStructuredGraph, eids) -> list[list[int]]:
-    """A maximum set of edge-disjoint s-t paths over the edges eids of h.
+def disjoint_paths(g: DirectedGraph) -> list[list[int]]:
+    """A maximum set of edge-disjoint s-t paths over the edges of g, which
+    has no deleted edge: the support of an MWU path collection, or the whole
+    residual graph in max_matching's finishing flow.
 
-    It serves both the rounding of an MWU path collection (eids: the
-    collection's support) and max_matching's finishing flow (eids: every
-    live edge of h).  Dinic's blocking flow over unit capacities: each phase
-    levels the residual arcs with one BFS (phase_levels), then a depth-first
-    search with a current-arc pointer per vertex augments along shortest
-    s-t paths until none is left.  Over every live edge of a residual graph
-    these are Hopcroft-Karp's O(sqrt n) phases.  The flow is then decomposed
-    by following each vertex's flow edges in id order.  In a residual graph
-    every L vertex has one in-edge and every R vertex one out-edge, so the
-    paths are internally vertex-disjoint as well.
+    Dinic's blocking flow over unit capacities: each phase levels the
+    residual arcs with one BFS (phase_levels), then a depth-first search
+    with a current-arc pointer per vertex augments along shortest s-t paths
+    until none is left.  The flow is then decomposed by following each
+    vertex's flow edges in id order.  In a residual graph every L vertex has
+    one in-edge and every R vertex one out-edge, so the paths are internally
+    vertex-disjoint as well.
 
-    From a vertex u the search tries its flow-free offered out-edges forward
-    in id order, then its flow-carrying offered in-edges backward in id
-    order.  So it finds the lexicographically smallest shortest s-t path,
-    which is the path an Edmonds-Karp FIFO BFS trying the arcs in the same
-    order would take.  An augmentation along a shortest path keeps the order
-    of the other arcs and adds only arcs that go back a level, so each later
-    path of the phase is again the smallest shortest one.  The augmenting
-    paths, the flow and its decomposition are therefore Edmonds-Karp's.
-    The offered edges are indexed per vertex once per call, so a phase
-    costs O(offered edges), not O(edges of h).
+    From a vertex u the search tries its flow-free out-edges forward, then
+    its flow-carrying in-edges backward, each in id order: the order of
+    g.out_adj and g.in_adj.  So it finds the lexicographically smallest
+    shortest s-t path, the one an Edmonds-Karp FIFO BFS trying the arcs in
+    the same order takes.  An augmentation along a shortest path keeps the
+    order of the other arcs and adds only arcs that go back a level, so each
+    later path of the phase is again the smallest shortest one.  The
+    augmenting paths, the flow and its decomposition are Edmonds-Karp's.
     """
-    tail, head = h.tail, h.head
-    flow = [-1] * len(tail)  # -1: not offered
-    offered = []
-    for eid in eids:
-        if flow[eid] < 0:
-            flow[eid] = 0
-            offered.append(eid)
-    offered.sort()
-    out_of: list[list[int]] = [[] for _ in range(h.n)]
-    in_of: list[list[int]] = [[] for _ in range(h.n)]
-    for eid in offered:
-        out_of[tail[eid]].append(eid)
-        in_of[head[eid]].append(eid)
+    if g.live_m != len(g.tail):
+        raise ValueError("disjoint_paths needs a graph with no deleted edges")
+    out_adj, in_adj, tail, head = g.out_adj, g.in_adj, g.tail, g.head
+    flow = [0] * len(tail)
 
     while True:
-        level = phase_levels(out_of, in_of, flow, tail, head)
+        level = phase_levels(g, flow)
         if level is None:
             break
-        # ptr[u]: u's current arc, an index into out_of[u] + in_of[u]; no
+        # ptr[u]: u's current arc, an index into out_adj[u] + in_adj[u]; no
         # arc before it starts a shortest path to t in this phase any more
-        ptr = [0] * h.n
+        ptr = [0] * g.n
         stack, arcs = [S_ID], []  # the search path and its edges
         augmented = False
         while stack:
@@ -164,7 +156,7 @@ def disjoint_paths(h: WellStructuredGraph, eids) -> list[list[int]]:
                 stack, arcs = [S_ID], []
                 augmented = True
                 continue
-            outs, ins = out_of[u], in_of[u]
+            outs, ins = out_adj[u], in_adj[u]
             lv = level[u] + 1
             i, n_out, v = ptr[u], len(outs), -1
             while i < n_out:
@@ -194,17 +186,17 @@ def disjoint_paths(h: WellStructuredGraph, eids) -> list[list[int]]:
             raise AssertionError("a blocking-flow phase reached t but found no path")
 
     # the decomposition: each walk leaves a vertex by its next flow edge in
-    # id order; nxt[u] indexes out_of[u]
-    nxt = [0] * h.n
+    # id order; nxt[u] indexes out_adj[u]
+    nxt = [0] * g.n
     paths: list[list[int]] = []
-    for e in out_of[S_ID]:
+    for e in out_adj[S_ID]:
         if flow[e] != 1:
             continue
         verts = [S_ID]
         u = head[e]
         while u != T_ID:
             verts.append(u)
-            outs, i = out_of[u], nxt[u]
+            outs, i = out_adj[u], nxt[u]
             while flow[outs[i]] != 1:
                 i += 1
             nxt[u] = i + 1
@@ -230,7 +222,9 @@ def round_to_disjoint(h: WellStructuredGraph, path_edge_lists: list[list[int]]
                 raise ValueError(f"path edge {eid} is not alive in the host graph")
             usage[eid] = usage.get(eid, 0) + 1
     eta = max(usage.values())
-    paths = disjoint_paths(h, usage)
+    support = sorted(usage)  # increasing id keeps every arc's relative order
+    paths = disjoint_paths(DirectedGraph(h.n, [h.tail[e] for e in support],
+                                         [h.head[e] for e in support]))
     floor = math.ceil(len(path_edge_lists) / eta)
     if len(paths) < floor:
         raise AssertionError(
@@ -248,6 +242,8 @@ def round_to_disjoint(h: WellStructuredGraph, path_edge_lists: list[list[int]]
 def max_matching(g: BipartiteGraph, cfg: DriverConfig | None = None
                  ) -> tuple[Matching, RunReport]:
     cfg = cfg or DriverConfig()
+    if cfg.backend not in BACKENDS:
+        raise ValueError(f"unknown backend {cfg.backend!r}")
     cnst = cfg.constants
     report = RunReport()
     matching = Matching()
@@ -304,7 +300,7 @@ def max_matching(g: BipartiteGraph, cfg: DriverConfig | None = None
     # finishing step: one maximum flow over every live residual edge
     if len(matching) < cap:
         h = residual_graph(g, matching)
-        paths = disjoint_paths(h, h.live_edges())[:cap - len(matching)]
+        paths = disjoint_paths(h)[:cap - len(matching)]
         matching = augment(g, matching, paths)
         report.exact_augmentations += len(paths)
 

@@ -146,6 +146,29 @@ def test_cli_constants_file(tmp_path, capsys):
                  str(bad)]) == 2
 
 
+@pytest.mark.parametrize("name,value", [("alpha0", "nan"), ("alpha0", "inf"),
+                                        ("mwu_gate_coeff", "nan")])
+def test_cli_non_finite_constant_exits_2_at_load(tmp_path, capsys, name, value):
+    cfile = tmp_path / "c.txt"
+    cfile.write_text(f"{name} = {value}\n")
+    rc = main(["--algo", "paper", "--gen", "random-gnp", "--constants", str(cfile)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.splitlines() == [f"error: constant {name} must be finite, got {float(value)}"]
+
+
+@pytest.mark.parametrize("algo", [",", "paper,bogus", "bogus"])
+def test_cli_unknown_algo_is_a_usage_error(monkeypatch, capsys, algo):
+    import bipmatch.cli as cli
+
+    runs = []
+    monkeypatch.setattr(cli, "_run_one", lambda *a: runs.append(a))
+    rc = main(["--algo", algo, "--gen", "random-gnp", "--n", "6"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and runs == []
+    assert len(err.splitlines()) == 1 and err.startswith("error: --algo")
+
+
 def test_cli_maps_unexpected_errors_to_exit_2(monkeypatch, capsys):
     import bipmatch.cli as cli
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bipmatch.constants import Constants, log2c, mwu_lambda, next_pow2, raw_lambda
@@ -17,6 +19,13 @@ def test_presets_instantiate():
 def test_negative_constant_rejected():
     with pytest.raises(ValueError):
         Constants(alpha0=-1.0)
+
+
+@pytest.mark.parametrize("name", ["alpha0", "mwu_gate_coeff", "ball_pre_coeff"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_constant_rejected(name, value):
+    with pytest.raises(ValueError, match=f"constant {name} must be finite"):
+        Constants(**{name: value})
 
 
 def test_from_file_roundtrip(tmp_path):

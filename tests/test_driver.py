@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,8 @@ from bipmatch.constants import Constants, log2c
 from bipmatch.cli import generate
 from bipmatch.driver import (DriverConfig, disjoint_paths, max_matching,
                              round_to_disjoint)
-from bipmatch.graph_core import (BipartiteGraph, Matching, S_ID, T_ID,
-                                 WellStructuredGraph, augment, bfs_tree,
+from bipmatch.graph_core import (BipartiteGraph, DirectedGraph, Matching, S_ID,
+                                 T_ID, WellStructuredGraph, augment, bfs_tree,
                                  residual_graph, tree_path)
 from bipmatch.maintain_cluster import ClusterContractError
 from bipmatch.mwu import mwu_run
@@ -96,7 +97,7 @@ def test_disjoint_paths_reach_the_maximum_matching():
         full, _ = hopcroft_karp(g)
         partial = Matching(p for p in sorted(full.pairs) if rng.random() < 0.5)
         h = residual_graph(g, partial)
-        paths = disjoint_paths(h, h.live_edges())
+        paths = disjoint_paths(h)
         assert len(paths) == len(full) - len(partial)
         internal = [v for p in paths for v in p[1:-1]]
         assert len(internal) == len(set(internal))
@@ -111,7 +112,7 @@ def test_disjoint_paths_follows_one_long_augmenting_path():
     g = BipartiteGraph(k, k, tuple(edges))
     partial = Matching((k - 1 - i, i - 1) for i in range(1, k))
     h = residual_graph(g, partial)
-    paths = disjoint_paths(h, h.live_edges())
+    paths = disjoint_paths(h)
     assert len(paths) == 1 and len(paths[0]) == 2 * k + 2
     assert len(augment(g, partial, paths)) == k
 
@@ -158,6 +159,13 @@ def bfs_tree_disjoint_paths(h, eids):
     return paths
 
 
+def offered_subgraph(h, eids):
+    """The edges eids of h as a graph of their own, in increasing id order,
+    as round_to_disjoint hands them to disjoint_paths."""
+    support = sorted(set(eids))
+    return DirectedGraph(h.n, [h.tail[e] for e in support], [h.head[e] for e in support])
+
+
 def random_st_path(rng, g):
     """Edge ids of a random walk from s that visits no vertex twice, if it
     ends at t; else None."""
@@ -194,13 +202,10 @@ def test_disjoint_paths_matches_the_bfs_tree_oracle(data):
         # in first-use order, with the edges the paths share
         walks = [random_st_path(rng, h) for _ in range(data.draw(st.integers(1, 8)))]
         offered = list(dict.fromkeys(e for w in walks if w for e in w))
-    if shape == "all":  # the finishing flow's generator
-        got = disjoint_paths(h, h.live_edges())
-        want = bfs_tree_disjoint_paths(h, h.live_edges())
-    else:
-        got = disjoint_paths(h, offered)
-        want = bfs_tree_disjoint_paths(h, offered)
-    assert got == want
+    else:  # the finishing flow's generator
+        offered = list(h.live_edges())
+    assert disjoint_paths(offered_subgraph(h, offered)) == bfs_tree_disjoint_paths(
+        h, offered)
 
 
 def test_disjoint_paths_tries_forward_arcs_before_backward_ones():
@@ -214,7 +219,7 @@ def test_disjoint_paths_tries_forward_arcs_before_backward_ones():
         h.add_edge(u, v)
     want = [[s, a, b, t], [s, c, b, x, w, t]]
     assert bfs_tree_disjoint_paths(h, h.live_edges()) == want
-    assert disjoint_paths(h, h.live_edges()) == want
+    assert disjoint_paths(h) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,7 +235,8 @@ def test_disjoint_paths_matches_the_oracle_when_a_phase_finds_many_paths(data):
     if data.draw(st.booleans()):
         offered = [e for e in offered if rng.random() < 0.8]
         rng.shuffle(offered)
-    assert disjoint_paths(h, offered) == bfs_tree_disjoint_paths(h, offered)
+    assert disjoint_paths(offered_subgraph(h, offered)) == bfs_tree_disjoint_paths(
+        h, offered)
 
 
 def rerouting_instance(rng, shapes, decoy_n):
@@ -292,8 +298,7 @@ def test_disjoint_paths_matches_the_oracle_when_a_phase_reroutes_an_l_vertex(dat
                                 min_size=1, max_size=3))
     g, m = rerouting_instance(rng, shapes, data.draw(st.integers(0, 8)))
     h = residual_graph(g, m)
-    assert disjoint_paths(h, h.live_edges()) == bfs_tree_disjoint_paths(
-        h, h.live_edges())
+    assert disjoint_paths(h) == bfs_tree_disjoint_paths(h, h.live_edges())
 
 
 def test_disjoint_paths_backs_out_of_a_dead_end():
@@ -308,7 +313,21 @@ def test_disjoint_paths_backs_out_of_a_dead_end():
         h.add_edge(u, v)
     want = [[s, a, y, t], [s, b, z, t]]
     assert bfs_tree_disjoint_paths(h, h.live_edges()) == want
-    assert disjoint_paths(h, h.live_edges()) == want
+    assert disjoint_paths(h) == want
+
+
+def test_disjoint_paths_rejects_a_graph_with_a_deleted_edge():
+    h = residual_graph(BipartiteGraph(2, 2, ((0, 0), (1, 1))), Matching())
+    h.delete_edge(0)
+    with pytest.raises(ValueError, match="deleted edges"):
+        disjoint_paths(h)
+
+
+def test_unknown_backend_is_rejected_before_any_work():
+    # 3x3 with 2 edges: no MWU phase runs, so only the up-front check sees it
+    g = BipartiteGraph(3, 3, ((0, 0), (1, 1)))
+    with pytest.raises(ValueError, match="unknown backend 'nope'"):
+        max_matching(g, DriverConfig(backend="nope"))
 
 
 def test_exact_phase_builds_one_residual_graph(monkeypatch):

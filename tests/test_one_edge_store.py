@@ -1,6 +1,7 @@
 """DirectedGraph is the one edge store: no other class in src/bipmatch keeps
 edge arrays of its own.  A structure that needs edges subclasses or holds a
-DirectedGraph instead of assigning self.tail / self.head."""
+DirectedGraph instead of assigning self.tail / self.head, and no function
+outside DirectedGraph builds a per-vertex index of lists of its own."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,24 @@ def test_only_directed_graph_assigns_edge_arrays():
                         if attr in EDGE_ARRAYS:
                             found.append(f"{path.name}:{node.lineno} {cls.name}.{attr}")
     assert not found, "edge arrays outside DirectedGraph: " + ", ".join(found)
+
+
+def _builds_lists_of_lists(node):
+    """[[] for ...]: one empty list per item, the start of an adjacency index."""
+    return (isinstance(node, ast.ListComp) and isinstance(node.elt, ast.List)
+            and not node.elt.elts)
+
+
+def test_only_directed_graph_builds_per_vertex_lists():
+    # the oracles are independent of the pipeline by design: they keep their own
+    found = []
+    for path in sorted(Path(bipmatch.__file__).parent.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "DirectedGraph"
+                  for node in ast.walk(cls)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _builds_lists_of_lists(node) and id(node) not in exempt]
+    assert not found, "per-vertex lists outside DirectedGraph: " + ", ".join(found)
