@@ -4,6 +4,10 @@ Vertex ids are dense integers.  In every residual graph the source is vertex 0
 and the sink is vertex 1; left vertex i of the bipartite input maps to 2+i and
 right vertex j to 2+n_left+j.  Edge deletion everywhere is tombstoning, so the
 stable edge ids can be held by long-lived index structures.
+
+A Matching is its two mate maps.  residual_graph is the one model of the
+residual arcs; augment checks a path with the matching's own add and discard
+checks, which accept exactly the residual paths (see augment).
 """
 
 from __future__ import annotations
@@ -45,46 +49,46 @@ class BipartiteGraph:
 
 
 class Matching:
-    """A set of (left, right) pairs in which no vertex repeats."""
+    """A set of (left, right) pairs in which no vertex repeats, held as the
+    two maps _left[u] = v and _right[v] = u."""
 
     def __init__(self, pairs=()):
-        self.pairs: set[tuple[int, int]] = set()
         self._left: dict[int, int] = {}
         self._right: dict[int, int] = {}
         for u, v in pairs:
             self.add(u, v)
 
+    @property
+    def pairs(self) -> set[tuple[int, int]]:
+        return set(self._left.items())
+
     def add(self, u: int, v: int) -> None:
         if u in self._left or v in self._right:
             raise ValueError(f"vertex reused by pair ({u},{v})")
-        self.pairs.add((u, v))
         self._left[u] = v
         self._right[v] = u
 
     def discard(self, u: int, v: int) -> None:
-        if (u, v) not in self.pairs:
+        if (u, v) not in self:
             raise ValueError(f"pair ({u},{v}) not in matching")
-        self.pairs.remove((u, v))
         del self._left[u]
         del self._right[v]
 
-    def right_of(self, u: int):
-        return self._left.get(u)
-
-    def left_of(self, v: int):
-        return self._right.get(v)
-
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self._left)
 
     def __contains__(self, pair) -> bool:
-        return pair in self.pairs
+        u, v = pair
+        return u in self._left and self._left[u] == v
 
     def copy(self) -> "Matching":
-        return Matching(self.pairs)
+        result = Matching()
+        result._left = dict(self._left)
+        result._right = dict(self._right)
+        return result
 
     def validate(self, g: BipartiteGraph) -> None:
-        for u, v in self.pairs:
+        for u, v in self._left.items():
             if (u, v) not in g.edge_set:
                 raise ValueError(f"matched pair ({u},{v}) is not a graph edge")
 
@@ -225,14 +229,6 @@ class WellStructuredGraph(DirectedGraph):
         return 2 + self.n_left <= v < self.n
 
 
-def left_id(g: BipartiteGraph, u: int) -> int:
-    return 2 + u
-
-
-def right_id(g: BipartiteGraph, v: int) -> int:
-    return 2 + g.n_left + v
-
-
 def residual_graph(g: BipartiteGraph, m_set: Matching) -> WellStructuredGraph:
     """Residual graph of g with respect to m_set.
 
@@ -243,22 +239,22 @@ def residual_graph(g: BipartiteGraph, m_set: Matching) -> WellStructuredGraph:
     """
     m_set.validate(g)
     n_left = g.n_left
+    mate_of_left, mate_of_right = m_set._left, m_set._right
     tail: list[int] = []
     head: list[int] = []
     for u in range(n_left):
-        if m_set.right_of(u) is None:
+        if u not in mate_of_left:
             tail.append(S_ID)
             head.append(2 + u)
-    pairs = m_set.pairs
     for u, v in sorted(g.edges):
-        if (u, v) in pairs:
+        if mate_of_left.get(u) == v:
             tail.append(2 + n_left + v)
             head.append(2 + u)
         else:
             tail.append(2 + u)
             head.append(2 + n_left + v)
     for v in range(g.n_right):
-        if m_set.left_of(v) is None:
+        if v not in mate_of_right:
             tail.append(2 + n_left + v)
             head.append(T_ID)
     return WellStructuredGraph(n_left, g.n_right, tail, head)
@@ -315,48 +311,47 @@ def validate_well_structured(h: WellStructuredGraph) -> list[str]:
     return report
 
 
-def _in_residual(g: BipartiteGraph, m_set: Matching, a: int, b: int) -> bool:
-    """Whether a->b is an edge of residual_graph(g, m_set), without building it."""
-    nl, nr = g.n_left, g.n_right
-    if a == S_ID:
-        return 0 <= b - 2 < nl and m_set.right_of(b - 2) is None
-    if b == T_ID:
-        return 0 <= a - 2 - nl < nr and m_set.left_of(a - 2 - nl) is None
-    if 0 <= a - 2 < nl:
-        pair = (a - 2, b - 2 - nl)
-        return pair in g.edge_set and pair not in m_set
-    return (b - 2, a - 2 - nl) in m_set
-
-
 def augment(g: BipartiteGraph, m_set: Matching, paths: list[list[int]]) -> Matching:
     """Symmetric-difference m_set with a set of internally disjoint s-t paths.
 
     Paths are vertex sequences in the residual graph of (g, m_set); they must
     be simple, start at the source, end at the sink, and share no internal
-    vertex.  Returns a new matching of size len(m_set) + len(paths).
+    vertex.  Returns a new matching of size len(m_set) + len(paths) and
+    leaves m_set as it was.
+
+    A residual s-t path reads s, l1, r1, ..., lk, rk, t, and its arcs
+    need: l1 free (s->l1), (li, ri) an unmatched graph edge (li->ri),
+    (l(i+1), ri) matched (ri->l(i+1)) and rk free (rk->t).  The matching's
+    own checks test exactly that.  Every (l(i+1), ri) is dropped first, and
+    discard fails unless it is matched.  Then every (li, ri), checked
+    against g's edges, is added, and add fails unless both ends are free.
+    The drops free every internal vertex but l1 and rk, and no other path
+    touches those, so they must have been free.  A matched (li, ri) fails
+    the drop at li, or leaves l1 taken.
     """
     m_set.validate(g)
+    n_left, edge_set = g.n_left, g.edge_set
     seen_internal: set[int] = set()
     to_add: list[tuple[int, int]] = []
     to_drop: list[tuple[int, int]] = []
     for path in paths:
-        if len(path) < 2 or path[0] != S_ID or path[-1] != T_ID:
-            raise ValueError(f"path {path} is not an s-t path")
+        if len(path) < 4 or len(path) % 2 or path[0] != S_ID or path[-1] != T_ID:
+            raise ValueError(f"path {path} is not an s-t path through L-R pairs")
         if len(set(path)) != len(path):
             raise ValueError(f"path {path} is not simple")
-        for v in path[1:-1]:
-            if v in seen_internal:
-                raise ValueError(f"paths share internal vertex {v}")
-            seen_internal.add(v)
-        for a, b in zip(path, path[1:]):
-            if not _in_residual(g, m_set, a, b):
+        for i in range(1, len(path) - 1, 2):
+            a, b = path[i], path[i + 1]
+            if a in seen_internal or b in seen_internal:
+                raise ValueError(f"paths share internal vertex {a if a in seen_internal else b}")
+            seen_internal.add(a)
+            seen_internal.add(b)
+            u, v = a - 2, b - 2 - n_left
+            if (u, v) not in edge_set:
                 raise ValueError(f"edge ({a},{b}) not present in residual graph")
-            if a == S_ID or b == T_ID:
-                continue
-            if a < 2 + g.n_left:
-                to_add.append((a - 2, b - 2 - g.n_left))
-            else:
-                to_drop.append((b - 2, a - 2 - g.n_left))
+            if i > 1:
+                to_drop.append((u, prev_v))
+            to_add.append((u, v))
+            prev_v = v
     result = m_set.copy()
     for u, v in to_drop:
         result.discard(u, v)

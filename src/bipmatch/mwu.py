@@ -57,8 +57,6 @@ def mwu_run(h: WellStructuredGraph, delta: int, backend: str = "reference",
     m = h.live_m
     if m != len(h.tail):
         raise ValueError("the residual graph has deleted edges; the backends need a fresh one")
-    if m < 2:
-        return MwuResult([], [], {}, lam=1, m=max(2, m), warned_no_path=True)
     gate = cnst.mwu_gate(m)
     if delta < gate:
         raise ValueError(

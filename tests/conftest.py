@@ -8,6 +8,14 @@ from bipmatch.graph_core import (BipartiteGraph, CoreGraph, DirectedGraph, Match
                                  residual_graph)
 
 
+def left_id(g: BipartiteGraph, u: int) -> int:
+    return 2 + u
+
+
+def right_id(g: BipartiteGraph, v: int) -> int:
+    return 2 + g.n_left + v
+
+
 def random_bipartite(rng: random.Random, nl: int, nr: int, p: float) -> BipartiteGraph:
     edges = tuple((u, v) for u in range(nl) for v in range(nr) if rng.random() < p)
     return BipartiteGraph(nl, nr, edges)

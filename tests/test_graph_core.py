@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipmatch.graph_core import (BipartiteGraph, DirectedGraph, Matching,
-                                 S_ID, T_ID, augment, bfs_tree, dijkstra_tree, left_id,
-                                 parse_graph_text, residual_graph, right_id,
+                                 S_ID, T_ID, augment, bfs_tree, dijkstra_tree,
+                                 parse_graph_text, residual_graph,
                                  shortcut_to_simple, tree_path, validate_well_structured,
                                  write_graph_text)
 from bipmatch.oracles import dijkstra
-from conftest import residual_of_random
+from conftest import left_id, residual_of_random, right_id
 
 
 def edge_pairs(h):
@@ -91,6 +91,12 @@ def test_augment_rejects_missing_edge():
     g = BipartiteGraph(1, 1, ((0, 0),))
     with pytest.raises(ValueError):
         augment(g, Matching([(0, 0)]), [[S_ID, left_id(g, 0), right_id(g, 0), T_ID]])
+    # the hop r0->l1 needs (1,0) matched, but r0 and l1 are matched elsewhere;
+    # every other arc is in the residual graph
+    g = BipartiteGraph(3, 3, ((0, 0), (1, 1), (1, 2), (2, 0)))
+    with pytest.raises(ValueError):
+        augment(g, Matching([(1, 2), (2, 0)]),
+                [[S_ID, left_id(g, 0), right_id(g, 0), left_id(g, 1), right_id(g, 1), T_ID]])
 
 
 def test_validate_flags_bipartite_violation():
@@ -149,11 +155,13 @@ def test_augment_accepts_exactly_the_residual_paths(data):
         # any simple s-t vertex sequence, ids past the right side included
         path = [S_ID] + data.draw(st.lists(st.integers(2, g.n + 2), unique=True,
                                            max_size=g.n)) + [T_ID]
+    before = m.pairs
     if all(step in live for step in zip(path, path[1:])):
         assert len(augment(g, m, [path])) == len(m) + 1
     else:
         with pytest.raises(ValueError):
             augment(g, m, [path])
+    assert m.pairs == before  # augment returns a new matching either way
 
 
 def core_pairs(g, h, tail_side, head_side):

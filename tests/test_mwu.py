@@ -69,6 +69,25 @@ def test_no_path_warns(cnst):
     assert result.warned_no_path
 
 
+@pytest.mark.parametrize("backend", ["reference", "full"])
+def test_tiny_residual_graphs_pass_the_gate_and_find_no_path(cnst, backend):
+    # 0, 1 and 2 residual edges: no side, one free left vertex, a matched
+    # pair, and one free vertex per side with no edge between them
+    for g, start in ((BipartiteGraph(0, 0, ()), Matching()),
+                     (BipartiteGraph(1, 0, ()), Matching()),
+                     (BipartiteGraph(1, 1, ((0, 0),)), Matching([(0, 0)])),
+                     (BipartiteGraph(1, 1, ()), Matching())):
+        h = residual_graph(g, start)
+        assert h.live_m <= 2
+        gate = cnst.mwu_gate(h.live_m)
+        for delta in (gate, 50):
+            result = mwu_run(h, delta=delta, backend=backend, cnst=cnst)
+            assert result.paths == [] and result.warned_no_path
+            assert result.m == h.live_m
+        with pytest.raises(ValueError, match="below the configured MWU gate"):
+            mwu_run(h, delta=gate - 1, backend=backend, cnst=cnst)
+
+
 def test_paths_have_unit_mwu_length(cnst):
     # when a path is collected, each of its edges has its initial length
     # doubled once per earlier collected path through it, and the path's
