@@ -85,8 +85,11 @@ class Constants:
                 raise ValueError(f"constant {f.name} must be finite, got {v}")
             if f.name != "ball_pre_coeff" and v < 0:
                 raise ValueError(f"constant {f.name} must be nonnegative, got {v}")
-        if self.alpha0 <= 0 or self.degree_bound <= 0:
-            raise ValueError("alpha0 and degree_bound must be positive")
+        # the expander degree, and the coefficients that thresholds divide by
+        for name in ("alpha0", "degree_bound", "cut_player_c", "c_cmg", "c_prime",
+                     "c_hat", "union_denom"):
+            if (v := getattr(self, name)) <= 0:
+                raise ValueError(f"constant {name} must be positive, got {v}")
 
     # ------------------------------------------------------------------ presets
 

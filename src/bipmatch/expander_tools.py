@@ -1,5 +1,7 @@
 """Expander and cut subroutines: explicit expanders, ball growing, cut
-chaining, well-structured cut conversion, and the cut-matching game.
+chaining, and the cut-matching game.  The game's cuts are well-structured
+as they come, so the well-structured cut conversion is kept only as a
+tested building block of the analysis.
 
 All operations are pure functions of their inputs plus a Constants handle.
 Cuts carry the claimed sparsity bound so callers and tests can recount
@@ -32,6 +34,10 @@ class Cut:
 
     def sparsity(self) -> float:
         return self.crossing / self.min_side()
+
+    def smaller(self) -> list[int]:
+        """The smaller side, a on a tie."""
+        return self.a if len(self.a) <= len(self.b) else self.b
 
 
 @dataclass
@@ -303,7 +309,8 @@ def sparse_to_well_structured(core: CoreGraph, cut: Cut) -> Cut:
 
     Every A-vertex with a regular edge into B moves to B; the only new
     crossing edges are the movers' incoming specials, so sparsity at most
-    doubles.  Rejects cuts of sparsity above 1/4.
+    doubles.  Rejects cuts of sparsity above 1/4.  No pipeline code calls
+    it: embed_or_cut's cuts are crossed by special edges only already.
     """
     phi = cut.sparsity()
     if phi > 0.25:
@@ -625,7 +632,7 @@ def cut_player_inner(vertices, w_edges, wids, cnst: Constants, relaxed=False):
         if pair is None:
             break
         cut = ball_grow(sorted(alive), live_pairs, pair[0], pair[1], d_tilde, cnst)
-        small = cut.a if len(cut.a) <= len(cut.b) else cut.b
+        small = cut.smaller()
         removed.append(sorted(small))
         removed_budget.append(cut.crossing)
         alive -= set(small)
@@ -658,7 +665,7 @@ def cut_player(vertices, w_edges, cnst: Constants):
         if kind == "embed":
             return "embed", payload
         cut = payload
-        small = cut.a if len(cut.a) <= len(cut.b) else cut.b
+        small = cut.smaller()
         removed.append(sorted(small))
         removed_budget.append(cut.crossing)
         alive = sorted(set(alive) - set(small))
@@ -675,9 +682,10 @@ def cut_player(vertices, w_edges, cnst: Constants):
 def embed_or_cut(core: CoreGraph, d_prime: int, cnst: Constants):
     """Run the cut-matching game on the live core graph.
 
-    Returns ("cut", Cut) with crossing at most 2n/d'+1 and both sides at
-    least the configured minimum, or ("embed", Embedding) of an expander on
-    at least an eighth of the live vertices.
+    Returns ("cut", Cut) crossed by special edges only, with crossing at
+    most 2n/d'+1 and both sides at least the configured minimum, or
+    ("embed", Embedding) of an expander on at least an eighth of the live
+    vertices.
     """
     live_all = core.live_vertices()
     n_all = len(live_all)
@@ -718,8 +726,7 @@ def embed_or_cut(core: CoreGraph, d_prime: int, cnst: Constants):
         if kind == "embed":
             return "embed", _compose(core, payload, w_fake, w_paths,
                                      d_prime, n, rounds, cnst)
-        cut = payload
-        small = cut.a if len(cut.a) <= len(cut.b) else cut.b
+        small = payload.smaller()
         small_set = set(small)
         fill = [v for v in vertices if v not in small_set]
         # the completion of the half-split is arbitrary; rotate it per round
@@ -782,18 +789,7 @@ def _compose(core, inner_payload, w_fake, w_paths, d_prime, n, rounds, cnst):
         if any(w in w_fake for w in wids):
             fake.add(idx)
             continue
-        verts: list[int] = []
-        eids: list[int] = []
-        for w in wids:
-            pv, pe = w_paths[w]
-            if verts:
-                if verts[-1] != pv[0]:
-                    raise AssertionError("consecutive matching paths do not meet")
-                verts.extend(pv[1:])
-            else:
-                verts.extend(pv)
-            eids.extend(pe)
-        path_vertices[idx], path_edges[idx] = shortcut_to_simple(verts, eids)
+        path_vertices[idx], path_edges[idx] = shortcut_to_simple([w_paths[w] for w in wids])
     emb = Embedding(
         vertices=sorted(exp_vertices),
         edges=exp_edges,

@@ -387,27 +387,36 @@ class CoreGraph(DirectedGraph):
         return self.side[self.tail[eid]] == "R"
 
 
-def shortcut_to_simple(verts: list[int], eids: list[int]) -> tuple[list[int], list[int]]:
-    """Cut every loop out of a walk; eids[i] joins verts[i] and verts[i+1].
+def shortcut_to_simple(segments) -> tuple[list[int], list[int]]:
+    """Join a walk given as (verts, eids) segments and cut every loop out.
 
-    On revisiting a vertex the walk drops back to its first visit, so the
-    result is a simple path with the walk's endpoints.
+    In each segment eids[i] joins verts[i] and verts[i+1], and each segment
+    must start where the previous one ended.  On revisiting a vertex the
+    walk drops back to its first visit, so the result is a simple path with
+    the walk's endpoints.
     """
     simple_v: list[int] = []
     simple_e: list[int] = []
     pos: dict[int, int] = {}
-    for i, vtx in enumerate(verts):
-        if vtx in pos:
-            keep = pos[vtx]
-            for dropped in simple_v[keep + 1:]:
-                pos.pop(dropped)
-            del simple_v[keep + 1:]
-            del simple_e[keep:]
-        else:
-            pos[vtx] = len(simple_v)
-            if i > 0:
-                simple_e.append(eids[i - 1])
-            simple_v.append(vtx)
+    for verts, eids in segments:
+        if len(eids) != len(verts) - 1:
+            raise ValueError("segment edge/vertex count mismatch")
+        if not simple_v:
+            pos[verts[0]] = 0
+            simple_v.append(verts[0])
+        elif verts[0] != simple_v[-1]:
+            raise ValueError(f"segment starts at {verts[0]}, the walk is at {simple_v[-1]}")
+        for vtx, eid in zip(verts[1:], eids):
+            if vtx in pos:
+                keep = pos[vtx]
+                for dropped in simple_v[keep + 1:]:
+                    pos.pop(dropped)
+                del simple_v[keep + 1:]
+                del simple_e[keep:]
+            else:
+                pos[vtx] = len(simple_v)
+                simple_e.append(eid)
+                simple_v.append(vtx)
     return simple_v, simple_e
 
 

@@ -2,13 +2,17 @@
 emitting well-structured sparse cuts as the cluster degrades.
 
 One instance owns an induced well-structured core graph with unit lengths.
-Work proceeds in phases: each phase embeds an expander into the live graph
-(emitting well-structured cuts for every failed attempt), then maintains two
-depth-bounded shortest-path trees rooted at the expander plus a reverse index
-from host edges to the expander edges embedded through them.  A cleanup pass
-runs after every batch of deletions and restores three facts: every live
-vertex reaches / is reached by the expander within d, the expander core stays
-shallow, and the damage tally plus the fake edges stays within the union cap.
+Every cut goes to the owner as sink(state, cut, kind): a Cut whose side a is
+the tail side of the special edges crossing it and whose sparsity_bound is
+the bound claimed for it; the smaller side is then deleted.  Work proceeds
+in phases: each phase embeds an expander into the live graph (emitting the
+cut-matching game's cut, crossed by special edges only, for every failed
+attempt), then maintains two depth-bounded shortest-path trees rooted at the
+expander plus a reverse index from host edges to the expander edges
+embedded through them.  A cleanup pass runs after every batch of deletions
+and restores three facts: every live vertex reaches / is reached by the
+expander within d, the expander core stays shallow, and the damage tally
+plus the fake edges stays within the union cap.
 
 Queries are answered by routing through the expander: host path to an
 expander vertex, a BFS route inside the expander expanded via the embedding,
@@ -19,11 +23,9 @@ ClusterContractError is raised and the owner may dissolve the cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .constants import Constants
 from .es_tree import EsTree, INF
-from .expander_tools import Cut, ball_grow, embed_or_cut, sparse_to_well_structured
+from .expander_tools import Cut, ball_grow, embed_or_cut
 from .graph_core import CoreGraph, DirectedGraph, bfs_tree, shortcut_to_simple, tree_path
 
 
@@ -33,22 +35,6 @@ class ClusterHalted(Exception):
 
 class ClusterContractError(Exception):
     """No path within the contract bound exists for a query."""
-
-
-@dataclass
-class EmittedCut:
-    listed: list[int]          # smaller side, in the cluster's vertex-id space
-    other: list[int]
-    listed_is_tail_side: bool  # listed side is the tail side of the crossing specials
-    crossing: int
-    bound: float               # claimed sparsity bound
-    kind: str
-
-    def tail_side(self) -> list[int]:
-        return self.listed if self.listed_is_tail_side else self.other
-
-    def head_side(self) -> list[int]:
-        return self.other if self.listed_is_tail_side else self.listed
 
 
 class ClusterState:
@@ -71,7 +57,6 @@ class ClusterState:
         self.halted = False
         self.needs_rebuild = False
         self.phase_active = False
-        self.queries_total = 0
         self.last_path_edges: set[int] = set()
         self.stats = {
             "phases": 0, "cuts_emitted": 0, "queries": 0, "rebases": 0,
@@ -100,39 +85,21 @@ class ClusterState:
         self.phase_active = False
 
     def _step1_embed(self):
-        cnst = self.cnst
+        core = self.core
         while not self._check_halt():
-            n_live = self.core.live_n
-            d_embed = max(4, min(self.d, 2 * n_live))
-            attempt = d_embed
-            while True:
-                kind, payload = embed_or_cut(self.core, attempt, cnst)
-                if kind == "embed":
-                    return payload
-                cut = payload
-                if self._all_special(cut):
-                    # threshold cuts arrive well-structured already
-                    ws = Cut(cut.a, cut.b, cut.crossing,
-                             sparsity_bound=cut.sparsity() or None)
-                    break
-                if cut.sparsity() <= 0.25:
-                    ws = sparse_to_well_structured(self.core, cut)
-                    break
-                if attempt >= 2 * n_live:
-                    raise ClusterContractError(
-                        "embed_or_cut cut too dense to convert at maximum d'"
-                    )
-                attempt = min(2 * n_live, attempt * 2)
-            self._emit_and_delete(ws, kind="step1")
+            d_embed = max(4, min(self.d, 2 * core.live_n))
+            kind, payload = embed_or_cut(core, d_embed, self.cnst)
+            if kind == "embed":
+                return payload
+            # the matching player's threshold cut gives regular edges length
+            # 0, and the odd vertex joins the side where its edges are
+            # special, so only special edges cross the cut
+            b_set = set(payload.b)
+            if any(core.head[eid] in b_set and not core.is_special(eid)
+                   for u in payload.a for eid in core.out_live(u)):
+                raise AssertionError("embed_or_cut cut is crossed by a regular edge")
+            self._emit_and_delete(payload, kind="step1")
         return None
-
-    def _all_special(self, cut: Cut) -> bool:
-        b_set = set(cut.b)
-        for u in cut.a:
-            for eid in self.core.out_live(u):
-                if self.core.head[eid] in b_set and not self.core.is_special(eid):
-                    return False
-        return True
 
     def _init_phase(self, emb) -> None:
         self.stats["phases"] += 1
@@ -141,16 +108,12 @@ class ClusterState:
         self.emb = emb
         self.exp_vertices: set[int] = set(emb.vertices)
         self.exp_alive: list[bool] = [True] * len(emb.edges)
-        self.exp_fake: set[int] = set(emb.fake)
         self.s_index: dict[int, set[int]] = {}
         for idx, eids in emb.path_edges.items():
             for eid in eids:
                 self.s_index.setdefault(eid, set()).add(idx)
         self.n2 = len(self.exp_vertices)
-        self.phase_start_n = self.core.live_n
-        self.shrink_floor = self.cnst.cluster_shrink_threshold(
-            self.phase_start_n, self.n0
-        )
+        self.shrink_floor = self.cnst.cluster_shrink_threshold(self.core.live_n, self.n0)
         self.damage = 0
         self.union_cap = self.cnst.cluster_union_cap(self.n2)
         self.phase_queries = 0
@@ -187,13 +150,11 @@ class ClusterState:
         dead_out, dead_in = [], []
         affected: set[int] = set()
         for v in sorted(verts):
-            if v not in self.exp_vertices:
-                continue
             self.exp_vertices.discard(v)
-            se = self.s_edge.get(v)
-            if se is not None and self.t_out.g.alive[se]:
+            se = self.s_edge[v]
+            if self.t_out.g.alive[se]:
                 dead_out.append(se)
-            if se is not None and self.t_in.g.alive[se]:
+            if self.t_in.g.alive[se]:
                 dead_in.append(se)
         for idx, (u, w) in enumerate(self.emb.edges):
             if self.exp_alive[idx] and (u in verts or w in verts):
@@ -236,37 +197,30 @@ class ClusterState:
         self._remove_exp_vertices(vset & self.exp_vertices)
 
     def _emit_and_delete(self, ws: Cut, kind: str) -> list[int]:
-        """Emit a well-structured cut through the sink, delete its smaller side."""
+        """Emit a well-structured cut (a: the tail side) through the sink as
+        sink(state, cut, kind), with its claimed bound or the contract bound,
+        and delete its smaller side."""
         contract = self.cnst.cluster_cut_bound(self.n0, self.d_star)
-        bound = ws.sparsity_bound if ws.sparsity_bound else contract
+        bound = ws.sparsity_bound or contract
         if ws.crossing > bound * ws.min_side() + 1e-9:
             raise AssertionError("emitted cut violates its claimed bound")
         if bound > contract + 1e-9:
             raise AssertionError(
                 f"branch bound {bound:.4g} exceeds the module contract {contract:.4g}"
             )
-        listed_is_a = len(ws.a) <= len(ws.b)
-        listed = ws.a if listed_is_a else ws.b
-        other = ws.b if listed_is_a else ws.a
-        emission = EmittedCut(
-            listed=list(listed),
-            other=list(other),
-            listed_is_tail_side=listed_is_a,
-            crossing=ws.crossing,
-            bound=bound,
-            kind=kind,
-        )
+        cut = Cut(ws.a, ws.b, ws.crossing, sparsity_bound=bound)
+        small = cut.smaller()
         self.stats["cuts_emitted"] += 1
-        self.stats["emitted_cut_edges"] += ws.crossing
+        self.stats["emitted_cut_edges"] += cut.crossing
         if self.sink is not None:
-            self.sink(self, emission)
+            self.sink(self, cut, kind)
         if self.phase_active:
-            self._delete_vertices(list(listed))
+            self._delete_vertices(list(small))
         else:
             # step 1: no phase structures yet; plain core deletion
-            for v in listed:
+            for v in small:
                 self.core.delete_vertex(v)
-        return list(listed)
+        return small
 
     # --------------------------------------------------------------- cleanup
 
@@ -283,7 +237,7 @@ class ClusterState:
         out: dict[int, list[tuple[int, int]]] = {v: [] for v in self.exp_vertices}
         inn: dict[int, list[tuple[int, int]]] = {v: [] for v in self.exp_vertices}
         for idx, (u, w) in enumerate(self.emb.edges):
-            if not self.exp_alive[idx] or idx in self.exp_fake:
+            if not self.exp_alive[idx] or idx in self.emb.fake:
                 continue
             if u in self.exp_vertices and w in self.exp_vertices:
                 out[u].append((idx, w))
@@ -354,7 +308,7 @@ class ClusterState:
             if not self.exp_vertices:
                 return False
             if (len(self.exp_vertices) < max(1, self.n2 // 4)
-                    or self.damage + len(self.exp_fake) > self.union_cap):
+                    or self.damage + len(self.emb.fake) > self.union_cap):
                 # re-base the expander budget instead of abandoning the phase
                 self.stats["rebases"] += 1
                 self.n2 = len(self.exp_vertices)
@@ -365,8 +319,8 @@ class ClusterState:
                 self.stats["type1_fixes"] += 1
                 kind, u = viol
                 cut = self._ball2(u, forward=(kind == "to_exp"))
-                listed = self._emit_and_delete(cut, kind="cleanup")
-                if self.exp_vertices & set(listed) or not self.exp_vertices:
+                small = self._emit_and_delete(cut, kind="cleanup")
+                if self.exp_vertices & set(small) or not self.exp_vertices:
                     return False  # the expander side was deleted: end the phase
                 continue
             pair = self._exp_diameter_violation()
@@ -379,11 +333,10 @@ class ClusterState:
     def _type2_fix(self, pair) -> None:
         a, b = pair
         edges = [e for idx, e in enumerate(self.emb.edges)
-                 if self.exp_alive[idx] and idx not in self.exp_fake]
+                 if self.exp_alive[idx] and idx not in self.emb.fake]
         cut = ball_grow(sorted(self.exp_vertices), edges, a, b, self.d_hat, self.cnst)
-        small = cut.a if len(cut.a) <= len(cut.b) else cut.b
         self.damage += cut.crossing
-        self._remove_exp_vertices(set(small))
+        self._remove_exp_vertices(set(cut.smaller()))
 
     # ---------------------------------------------------------------- public
 
@@ -399,11 +352,10 @@ class ClusterState:
             raise ClusterHalted("cluster has terminated")
         if allow_rebuild:
             self.flush_rebuild()
-        if self.queries_total >= self.delta:
+        if self.stats["queries"] >= self.delta:
             raise ValueError("query budget exhausted")
         if not (self.core.vertex_alive[x] and self.core.vertex_alive[y]):
             raise ValueError("query endpoint is not alive")
-        self.queries_total += 1
         self.phase_queries += 1
         self.stats["queries"] += 1
 
@@ -434,38 +386,21 @@ class ClusterState:
         t_out_path = self.t_out.path_to(y)
         if t_in_path is None or t_out_path is None:
             raise AssertionError("cleanup invariant broken")
-        walk_v = list(reversed(t_in_path))[:-1]  # x .. x' (expander vertex)
-        x_prime = walk_v[-1]
+        head_v = t_in_path[:0:-1]  # x .. x' (expander vertex)
+        tail_v = t_out_path[1:]    # y' (expander vertex) .. y
         out_adj, _ = self._exp_adjacency()
-        y_prime = t_out_path[1]
-        # BFS route x' -> y' inside the expander core; arcs are tried by
-        # head, then by expander edge index
-        by_head = {u: sorted(arcs, key=lambda arc: arc[1]) for u, arcs in out_adj.items()}
-        parent = bfs_tree(x_prime, by_head, target=y_prime)
-        if y_prime not in parent:
+        # BFS route x' -> y' inside the expander core; the arcs of a vertex
+        # are in expander edge order, which sorts them by head
+        parent = bfs_tree(head_v[-1], out_adj, target=tail_v[0])
+        if tail_v[0] not in parent:
             raise AssertionError("expander core disconnected despite cleanup")
-        route = tree_path(parent, y_prime)[1]
-        # expand the route through the embedding
-        full_v = list(walk_v)
-        full_e: list[int] = []
-        cur = x_prime
-        for idx in route:
-            pv = self.emb.path_vertices[idx]
-            pe = self.emb.path_edges[idx]
-            if pv[0] != cur:
-                raise AssertionError("embedding path does not start at the route vertex")
-            full_v.extend(pv[1:])
-            full_e.extend(pe)
-            cur = pv[-1]
-        full_v.extend(t_out_path[2:])
-        # stitch edge ids for the tree segments
-        head_e = [self._core_eid_for(a, b) for a, b in zip(walk_v, walk_v[1:])]
-        tail_e = [self._core_eid_for(a, b)
-                  for a, b in zip(t_out_path[1:], t_out_path[2:])]
-        all_e = head_e + full_e + tail_e
-        if len(all_e) != len(full_v) - 1:
-            raise AssertionError("route edge/vertex count mismatch")
-        return shortcut_to_simple(full_v, all_e)
+        route = tree_path(parent, tail_v[0])[1]
+        # host path to x', the route expanded through the embedding, host
+        # path from y'
+        return shortcut_to_simple(
+            [(head_v, [self._core_eid_for(a, b) for a, b in zip(head_v, head_v[1:])])]
+            + [(self.emb.path_vertices[idx], self.emb.path_edges[idx]) for idx in route]
+            + [(tail_v, [self._core_eid_for(a, b) for a, b in zip(tail_v, tail_v[1:])])])
 
     def _core_eid_for(self, a: int, b: int) -> int:
         eid = self.core.pair_to_eid.get((a, b))

@@ -208,30 +208,31 @@ class RestrictedSssp:
                                               key=g.head.__getitem__)]
         for eid in rec.residual_eid:
             core.add_edge(rec.global2local[g.tail[eid]], rec.global2local[g.head[eid]])
-        sink = lambda st, em, cid=cid: self._on_cut(cid, em)
+        sink = lambda st, cut, kind, cid=cid: self._on_cut(cid, cut)
         rec.state = ClusterState(core, rec.d_star, self.delta, sink,
                                  cnst=self.cnst, checked=self.checked)
 
     # ----------------------------------------------------------- ATO updates
 
-    def _on_cut(self, cid: int, emission) -> None:
-        """Translate an emitted well-structured cut into an interval split."""
+    def _on_cut(self, cid: int, cut) -> None:
+        """Translate an emitted well-structured cut (a: the tail side) into an
+        interval split that moves its smaller side out."""
         rec = self.clusters[cid]
         self.stats["cuts"] += 1
-        listed_glob = {rec.local2global[i] for i in emission.listed}
-        rec.bad_edges += emission.crossing
-        z_is_tail = emission.listed_is_tail_side
+        small = cut.smaller()
+        small_glob = {rec.local2global[i] for i in small}
+        rec.bad_edges += cut.crossing
         # tail side goes right, head side goes left
-        if z_is_tail:
-            z_start = rec.start + rec.size - len(listed_glob)
+        if small is cut.a:
+            z_start = rec.start + rec.size - len(small_glob)
             rem_start = rec.start
         else:
             z_start = rec.start
-            rem_start = rec.start + len(listed_glob)
-        rec.members -= listed_glob
+            rem_start = rec.start + len(small_glob)
+        rec.members -= small_glob
         rec.size = len(rec.members)
         rec.start = rem_start
-        new_cid = self._new_record(listed_glob, z_start)
+        new_cid = self._new_record(small_glob, z_start)
         self.stats["splits"] += 1
         if self.dag is not None:
             self._rehome(cid, [new_cid])

@@ -225,21 +225,18 @@ def test_criterion_5_cut_certificates():
     violations = []
 
     def make_sink(cluster_box, d_star, n0):
-        def sink(cluster, em):
+        def sink(cluster, cut, kind):
             nonlocal emissions
             emissions += 1
-            crossing, special = recount_core_cut(
-                cluster.core, em.tail_side(), em.head_side()
-            )
+            crossing, special = recount_core_cut(cluster.core, cut.a, cut.b)
             bound = CN.cluster_cut_bound(n0, d_star)
-            min_side = min(len(em.listed), len(em.other))
             if not special:
                 violations.append("regular edge crossed an emitted cut")
-            if crossing != em.crossing:
+            if crossing != cut.crossing:
                 violations.append("recount mismatch")
-            if em.crossing > em.bound * min_side + 1e-9:
+            if cut.crossing > cut.sparsity_bound * cut.min_side() + 1e-9:
                 violations.append("claimed bound violated")
-            if em.bound > bound + 1e-9:
+            if cut.sparsity_bound > bound + 1e-9:
                 violations.append("claimed bound above the module contract")
         return sink
 

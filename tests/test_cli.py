@@ -157,6 +157,36 @@ def test_cli_non_finite_constant_exits_2_at_load(tmp_path, capsys, name, value):
     assert err.splitlines() == [f"error: constant {name} must be finite, got {float(value)}"]
 
 
+@pytest.mark.parametrize("name", ["cut_player_c", "c_cmg", "c_prime", "c_hat", "union_denom"])
+def test_cli_zero_divisor_constant_exits_2_at_load(tmp_path, capsys, name):
+    cfile = tmp_path / "c.txt"
+    cfile.write_text(f"{name} = 0\n")
+    rc = main(["--algo", "paper", "--gen", "random-gnp", "--constants", str(cfile)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.splitlines() == [f"error: constant {name} must be positive, got 0.0"]
+
+
+def test_cli_trace_prints_one_line_per_phase_on_stderr(capsys):
+    rc = main(["--algo", "paper", "--gen", "random-gnp", "--n", "40", "--p", "0.2",
+               "--trace", "--csv", "-"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    header, row = out.strip().splitlines()
+    phases = int(dict(zip(header.split(","), row.split(",")))["phases"])
+    lines = err.splitlines()
+    assert phases >= 1 and len(lines) == phases
+    assert lines[0].startswith("# phase 0: delta=40 collected=")
+
+
+def test_cli_unwritable_csv_path_exits_2(tmp_path, capsys):
+    rc = main(["--algo", "hk", "--gen", "regular", "--n", "8",
+               "--csv", str(tmp_path / "missing" / "rows.csv")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "rows.csv" in err
+
+
 @pytest.mark.parametrize("algo", [",", "paper,bogus", "bogus"])
 def test_cli_unknown_algo_is_a_usage_error(monkeypatch, capsys, algo):
     import bipmatch.cli as cli

@@ -28,6 +28,14 @@ def test_non_finite_constant_rejected(name, value):
         Constants(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["cut_player_c", "c_cmg", "c_prime", "c_hat", "union_denom"])
+def test_zero_divisor_constant_rejected(name):
+    # each is a divisor of a threshold: matching_z, cluster_d,
+    # cluster_shrink_threshold or cluster_union_cap
+    with pytest.raises(ValueError, match=f"constant {name} must be positive"):
+        Constants(**{name: 0})
+
+
 def test_from_file_roundtrip(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("alpha0 = 0.125   # tweak\ndegree_bound = 20\n\n")

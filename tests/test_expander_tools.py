@@ -425,3 +425,24 @@ def test_embed_or_cut_odd_vertex_count(cnst):
         assert sorted(payload.a + payload.b) == core.live_vertices()
     else:
         assert payload.verify(core) == []
+
+
+def test_embed_or_cut_cuts_are_crossed_only_by_special_edges(cnst):
+    # cluster maintenance emits these cuts as they come, which is sound only
+    # because no regular edge crosses them: the matching player's threshold
+    # cut gives regular edges length 0, and the odd vertex of an odd live
+    # count is put on the side where its crossing edges are special
+    rng = random.Random(25)
+    cuts = odd_cuts = 0
+    for _ in range(200):
+        nl, nr = rng.randint(3, 24), rng.randint(3, 24)
+        core = random_core(rng, nl, nr, rng.choice([0.05, 0.15, 0.3, 0.5]),
+                           match_frac=rng.choice([0.5, 0.8, 1.0]))
+        for v in rng.sample(range(nl + nr), rng.randint(0, (nl + nr) // 4)):
+            core.delete_vertex(v)
+        kind, payload = embed_or_cut(core, rng.randint(4, 2 * core.live_n), cnst)
+        if kind == "cut":
+            cuts += 1
+            odd_cuts += core.live_n % 2
+            assert recount_core_cut(core, payload.a, payload.b) == (payload.crossing, True)
+    assert cuts >= 150 and odd_cuts >= 50

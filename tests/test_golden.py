@@ -80,8 +80,8 @@ def cluster_outcome() -> dict:
     cuts = []
     core = random_core(rng, 26, 26, 0.3, match_frac=0.85)
     st = ClusterState(core, d_star=26, delta=60,
-                      cut_sink=lambda _st, em: cuts.append(
-                          [sorted(em.listed), em.listed_is_tail_side, em.crossing, em.kind]),
+                      cut_sink=lambda _st, cut, kind: cuts.append(
+                          [sorted(cut.smaller()), cut.smaller() is cut.a, cut.crossing, kind]),
                       cnst=Constants.desk(), checked=True)
     answers = []
     while not st.halted and len(answers) < 20:

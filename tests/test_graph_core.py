@@ -369,12 +369,19 @@ def test_dijkstra_tree_parent_is_the_smallest_tight_edge():
 
 def test_shortcut_to_simple():
     # a loop 1-2-3-1 is cut out, keeping the edge that leaves the first visit
-    assert shortcut_to_simple([0, 1, 2, 3, 1, 4], [10, 11, 12, 13, 14]) == ([0, 1, 4], [10, 14])
+    assert shortcut_to_simple([([0, 1, 2, 3, 1, 4], [10, 11, 12, 13, 14])]) == \
+        ([0, 1, 4], [10, 14])
     # a repeated vertex with nothing between the visits
-    assert shortcut_to_simple([5, 6, 6, 7], [20, 21, 22]) == ([5, 6, 7], [20, 22])
+    assert shortcut_to_simple([([5, 6, 6, 7], [20, 21, 22])]) == ([5, 6, 7], [20, 22])
     # a simple path is returned unchanged
-    assert shortcut_to_simple([3, 1, 2], [30, 31]) == ([3, 1, 2], [30, 31])
-    assert shortcut_to_simple([9], []) == ([9], [])
+    assert shortcut_to_simple([([3, 1, 2], [30, 31])]) == ([3, 1, 2], [30, 31])
+    assert shortcut_to_simple([([9], [])]) == ([9], [])
+    # segments that meet are joined, and a loop across the seam is cut out
+    assert shortcut_to_simple([([0, 1, 2], [10, 11]), ([2], []), ([2, 3, 1, 4], [12, 13, 14])]) == \
+        ([0, 1, 4], [10, 14])
+    # segments that do not meet are no walk
+    with pytest.raises(ValueError):
+        shortcut_to_simple([([0, 1], [10]), ([2, 3], [11])])
 
 
 def test_graph_text_round_trip():

@@ -11,15 +11,13 @@ from conftest import random_core, recount_core_cut
 
 
 def collecting_sink(store):
-    def sink(cluster, emission):
-        crossing, special = recount_core_cut(
-            cluster.core, emission.tail_side(), emission.head_side()
-        )
+    def sink(cluster, cut, kind):
+        crossing, special = recount_core_cut(cluster.core, cut.a, cut.b)
         store.append({
-            "emission": emission,
+            "emission": cut,
             "recounted": crossing,
             "special": special,
-            "min_side": min(len(emission.listed), len(emission.other)),
+            "min_side": cut.min_side(),
         })
     return sink
 
@@ -29,7 +27,7 @@ def check_emissions(store):
         em = item["emission"]
         assert item["special"], "emitted cut crossed by a regular edge"
         assert item["recounted"] == em.crossing
-        assert em.crossing <= em.bound * item["min_side"] + 1e-9
+        assert em.crossing <= em.sparsity_bound * item["min_side"] + 1e-9
 
 
 def two_halves_core(rng, half, p, bridges):
@@ -81,7 +79,7 @@ def test_two_halves_emit_sparse_cut(cnst):
     check_emissions(store)
     bound = cnst.cluster_cut_bound(core.n, 20)
     for item in store:
-        assert item["emission"].bound <= bound + 1e-9
+        assert item["emission"].sparsity_bound <= bound + 1e-9
 
 
 def test_cluster_halts_below_half(cnst):
@@ -106,7 +104,7 @@ def test_query_adjacent_expander_pair_uses_embedding(cnst):
     assert not st.halted
     # pick an expander edge with a live embedding path and query its endpoints
     idx = next(i for i in range(len(st.emb.edges))
-               if st.exp_alive[i] and i not in st.exp_fake)
+               if st.exp_alive[i] and i not in st.emb.fake)
     x, y = st.emb.edges[idx]
     verts, eids = st.query(x, y)
     assert verts[0] == x and verts[-1] == y

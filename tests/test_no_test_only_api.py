@@ -19,8 +19,7 @@ TEST_SUPPORT = {
     "EsTree.scan_budget",
     "construct_expander",
     "validate_well_structured",
-    "EmittedCut.tail_side",
-    "EmittedCut.head_side",
+    "sparse_to_well_structured",
     "mwu_yield_floor",
     # brute-force oracles
     "exhaustive_max_matching_size",

@@ -219,6 +219,21 @@ def test_query_routes_through_a_live_cluster():
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "45aa731580bcb072"
 
 
+def test_edges_that_turn_long_cut_a_live_cluster():
+    # at a lambda whose long threshold is 1.5, an edge turns long on its
+    # first use, so every path hands its cluster edges to the cluster state,
+    # and the cuts that follow split the contracted graph after it is built
+    h = planted_core_residual(0)
+    probe = RestrictedSssp(h, delta=2)
+    lam = math.ceil(1.5 * probe.lam / probe.long_threshold)
+    rs = RestrictedSssp(h, delta=2, lam=lam, checked=True)
+    assert rs.long_threshold == pytest.approx(1.5, rel=0.01)
+    cuts_at_build = rs.stats["cuts"]
+    assert len(drain(rs, h)) == 2
+    assert rs.stats["cluster_queries"] > 0
+    assert rs.stats["cuts"] > cuts_at_build
+
+
 def test_full_backend_does_not_fail_while_short_supply_lasts():
     # plentiful short disjoint paths: the full backend must answer, and its
     # answers stay within 8*lambda while the oracle distance is within lambda
