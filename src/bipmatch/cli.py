@@ -130,6 +130,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: --algo takes a comma list of {','.join(ALGOS)}, got {args.algo!r}",
               file=sys.stderr)
         return 2
+    if args.count < 1:
+        print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
+        return 2
 
     try:
         cnst = Constants.from_file(args.constants) if args.constants else Constants.desk()
@@ -169,9 +172,9 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 verified = ""
                 if args.verify:
-                    expect = oracle_size if args.target is None else min(
-                        oracle_size, args.target
-                    )
+                    # only paper reads --target; it stops at that size
+                    expect = oracle_size if args.target is None or algo != "paper" \
+                        else min(oracle_size, args.target)
                     try:
                         matching.validate(g)
                         problem = "" if len(matching) == expect else \

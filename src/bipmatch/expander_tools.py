@@ -161,61 +161,64 @@ def construct_expander(n: int, cnst: Constants | None = None) -> DirectedGraph:
 
 # -------------------------------------------------------------- ball growing
 
-def ball_grow(vertices: list[int], edges: list[tuple[int, int]], x: int, y: int,
-              d: int, cnst: Constants) -> Cut:
+def ball_layers(g: DirectedGraph, root: int, forward: bool = True, inside=None):
+    """Grow a ball from root one BFS layer at a time over g's live edges.
+
+    A forward ball follows the edges leaving it, a reverse ball the edges
+    entering it; with inside given, only edges with both ends in inside
+    count.  Yields (ball, crossing edge ids) for {root}, then for the ball
+    after each layer; the first layer that adds nothing is yielded once
+    more, then the generator stops.  The ball is one set, grown in place.
+    """
+    def far(eid):
+        return g.head[eid] if forward else g.tail[eid]
+
+    ball = {root}
+    layer = [root]
+    while True:
+        crossing = [eid for v in layer
+                    for eid in (g.out_live(v) if forward else g.in_live(v))
+                    if far(eid) not in ball and (inside is None or far(eid) in inside)]
+        yield ball, crossing
+        layer = list(dict.fromkeys(map(far, crossing)))
+        ball.update(layer)
+        if not layer:
+            yield ball, crossing
+            return
+
+
+def ball_grow(g: DirectedGraph, vertices, x: int, y: int, d: int, cnst: Constants) -> Cut:
     """Two-sided ball growing: a cut of sparsity ball_coeff*delta_max*log(n)/d.
 
-    Works on the edges with both ends in vertices; delta_max is the largest
-    in+out degree among them.  Grows a forward ball from x and a reverse
-    ball from y, one layer each in turn, accepting the first layer whose
-    directed boundary is phi-sparse relative to the smaller side of the
-    induced cut.  Requires dist(x,y) >= d; if no layer within d/4 steps is
-    acceptable the call is rejected.
+    Works on g's live edges with both ends in vertices; delta_max is the
+    largest in+out degree among them.  Grows a forward ball from x and a
+    reverse ball from y, one layer each in turn, accepting the first layer
+    whose directed boundary is phi-sparse relative to the smaller side of
+    the induced cut.  Requires dist(x,y) >= d; if no layer within d/4 steps
+    is acceptable the call is rejected.
     """
-    if x == y:
-        raise ValueError("ball growing requires distinct endpoints")
-    out: dict[int, list[int]] = {v: [] for v in vertices}
-    inn: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edges:
-        if u in out and v in out:
-            out[u].append(v)
-            inn[v].append(u)
-    n = len(vertices)
-    delta = max(1, max((len(out[v]) + len(inn[v]) for v in vertices), default=0))
+    inside = set(vertices)
+    if x == y or x not in inside or y not in inside:
+        raise ValueError("ball growing requires distinct endpoints among vertices")
+    n = len(inside)
+    delta = max(1, max(sum(g.head[e] in inside for e in g.out_live(v))
+                       + sum(g.tail[e] in inside for e in g.in_live(v)) for v in inside))
     if d < cnst.ball_pre_coeff * delta * log2c(n):
         raise ValueError(f"distance budget d={d} below configured threshold")
     phi = cnst.ball_coeff * delta * log2c(n) / d
-    limit = max(1, d // 4)
-
-    univ = set(vertices)
-    s_fwd, s_rev = {x}, {y}
-    frontier_fwd, frontier_rev = [x], [y]
-
-    def layer(side_set, frontier, adj):
-        new_frontier = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in side_set:
-                    side_set.add(v)
-                    new_frontier.append(v)
-        cross = 0
-        for u in side_set:
-            for v in adj[u]:
-                if v not in side_set:
-                    cross += 1
-        return new_frontier, cross
-
-    def accept(side_set, cross) -> bool:
-        small = min(len(side_set), n - len(side_set))
-        return small > 0 and cross <= phi * small
-
-    for _ in range(limit):
-        frontier_fwd, cross = layer(s_fwd, frontier_fwd, out)
-        if accept(s_fwd, cross):
-            return Cut(sorted(s_fwd), sorted(univ - s_fwd), cross, sparsity_bound=phi)
-        frontier_rev, cross = layer(s_rev, frontier_rev, inn)
-        if accept(s_rev, cross):
-            return Cut(sorted(univ - s_rev), sorted(s_rev), cross, sparsity_bound=phi)
+    # each ball is first tested after one layer: skip {x} and {y}
+    balls = [ball_layers(g, x, True, inside), ball_layers(g, y, False, inside)]
+    for layers in balls:
+        next(layers)
+    for _ in range(max(1, d // 4)):
+        for forward, layers in zip((True, False), balls):
+            ball, crossing = next(layers, (set(), []))
+            small = min(len(ball), n - len(ball))
+            if small > 0 and len(crossing) <= phi * small:
+                rest = sorted(inside - ball)
+                if forward:
+                    return Cut(sorted(ball), rest, len(crossing), sparsity_bound=phi)
+                return Cut(rest, sorted(ball), len(crossing), sparsity_bound=phi)
     raise ValueError("no sparse layer found; dist(x,y) >= d precondition violated")
 
 
@@ -568,42 +571,36 @@ def matching_player(
 
 # ---------------------------------------------------------------- cut player
 
-def _greedy_embed(vertices, w_edges, wids, d_tilde, eta, cnst):
-    """Greedily embed an explicit expander into the multigraph restricted to
-    wids; returns (expander edge pairs, fake index set, paths idx -> global
-    w-edge ids, set of saturated wids)."""
+def _greedy_embed(vertices, w_edges, d_tilde, eta, cnst):
+    """Greedily embed an explicit expander into the W multigraph induced on
+    vertices; returns (expander edge pairs, fake index set, paths idx -> W
+    edge ids, that multigraph in W order with its saturated edges deleted)."""
     exp_edges = [(vertices[a], vertices[b]) for a, b in expander_pairs(len(vertices), cnst)]
-
-    out_adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
     vset = set(vertices)
-    for wid in wids:
-        u, v = w_edges[wid]
-        if u in vset and v in vset:
-            out_adj[u].append((wid, v))
-    mu: dict[int, int] = {}
-    saturated: set[int] = set()
-
+    w_of = [wid for wid, (u, v) in enumerate(w_edges) if u in vset and v in vset]
+    g = DirectedGraph(max(vertices) + 1, [w_edges[w][0] for w in w_of],
+                      [w_edges[w][1] for w in w_of])
+    mu = [0] * len(w_of)
     fake: set[int] = set()
     paths: dict[int, list[int]] = {}
     for idx, (u, v) in enumerate(exp_edges):
-        parent = bfs_tree(u, out_adj, target=v, max_depth=d_tilde)
+        parent = bfs_tree(u, g, target=v, max_depth=d_tilde)
         if v not in parent:
             fake.add(idx)
             continue
         path_ids = tree_path(parent, v)[1]
-        paths[idx] = path_ids
-        for wid in path_ids:
-            mu[wid] = mu.get(wid, 0) + 1
-            if mu[wid] >= eta:
-                saturated.add(wid)
-                a, b = w_edges[wid]
-                out_adj[a].remove((wid, b))
-    return exp_edges, fake, paths, saturated
+        paths[idx] = [w_of[e] for e in path_ids]
+        for e in path_ids:
+            mu[e] += 1
+            if mu[e] >= eta:
+                g.delete_edge(e)
+    return exp_edges, fake, paths, g
 
 
-def cut_player_inner(vertices, w_edges, wids, cnst: Constants, relaxed=False):
-    """Either embed an explicit expander into W or return a moderately
-    balanced sparse cut of W.  The two branches are exhaustive."""
+def cut_player_inner(vertices, w_edges, cnst: Constants, relaxed=False):
+    """Either embed an explicit expander into the W multigraph induced on
+    vertices or return a moderately balanced sparse cut of it.  The two
+    branches are exhaustive."""
     n = len(vertices)
     if n < 2:
         raise ValueError("inner cut player needs at least 2 vertices")
@@ -611,27 +608,19 @@ def cut_player_inner(vertices, w_edges, wids, cnst: Constants, relaxed=False):
     eta = math.inf if relaxed else cnst.cut_player_eta(n)
     k = cnst.expander_fake_budget(n)
 
-    exp_edges, fake, paths, saturated = _greedy_embed(
-        vertices, w_edges, wids, d_tilde, eta, cnst
-    )
+    exp_edges, fake, paths, g = _greedy_embed(vertices, w_edges, d_tilde, eta, cnst)
     if len(fake) <= k:
         return "embed", (list(vertices), exp_edges, fake, paths)
 
     alive = set(vertices)
     removed: list[list[int]] = []
     removed_budget: list[int] = []
-    vset = set(vertices)
-    live_pairs = [
-        w_edges[wid]
-        for wid in wids
-        if wid not in saturated and w_edges[wid][0] in vset and w_edges[wid][1] in vset
-    ]
     fake_pairs = sorted({exp_edges[i] for i in fake})
     while len(alive) > n - k / 2 and len(alive) >= 2:
         pair = next(((a, b) for a, b in fake_pairs if a in alive and b in alive), None)
         if pair is None:
             break
-        cut = ball_grow(sorted(alive), live_pairs, pair[0], pair[1], d_tilde, cnst)
+        cut = ball_grow(g, alive, pair[0], pair[1], d_tilde, cnst)
         small = cut.smaller()
         removed.append(sorted(small))
         removed_budget.append(cut.crossing)
@@ -639,13 +628,11 @@ def cut_player_inner(vertices, w_edges, wids, cnst: Constants, relaxed=False):
     if not removed:
         raise AssertionError("cut phase made no progress")
     clusters = removed + [sorted(alive)]
-    cut = chain_to_balanced(live_pairs, clusters, removed_budget + [0])
+    cut = chain_to_balanced([(g.tail[e], g.head[e]) for e in g.live_edges()], clusters,
+                            removed_budget + [0])
     # recount against the full multigraph (saturated edges included)
     a_set, b_set = set(cut.a), set(cut.b)
-    crossing = sum(
-        1 for wid in wids
-        if w_edges[wid][0] in a_set and w_edges[wid][1] in b_set
-    )
+    crossing = sum(1 for u, v in w_edges if u in a_set and v in b_set)
     return "cut", Cut(cut.a, cut.b, crossing)
 
 
@@ -654,14 +641,10 @@ def cut_player(vertices, w_edges, cnst: Constants):
     return a balanced sparse cut of W."""
     n = len(vertices)
     alive = sorted(vertices)
-    all_wids = list(range(len(w_edges)))
     removed: list[list[int]] = []
     removed_budget: list[int] = []
     while len(alive) >= n / 4 and len(alive) >= 2:
-        aset = set(alive)
-        wids = [w for w in all_wids
-                if w_edges[w][0] in aset and w_edges[w][1] in aset]
-        kind, payload = cut_player_inner(alive, w_edges, wids, cnst)
+        kind, payload = cut_player_inner(alive, w_edges, cnst)
         if kind == "embed":
             return "embed", payload
         cut = payload
@@ -670,8 +653,7 @@ def cut_player(vertices, w_edges, cnst: Constants):
         removed_budget.append(cut.crossing)
         alive = sorted(set(alive) - set(small))
     clusters = removed + [alive]
-    cut = chain_to_balanced([w_edges[w] for w in all_wids], clusters,
-                            removed_budget + [0])
+    cut = chain_to_balanced(w_edges, clusters, removed_budget + [0])
     if cut.min_side() < cnst.outer_side_frac * n:
         raise AssertionError("outer cut sides below the configured fraction")
     return "cut", cut
@@ -767,8 +749,7 @@ def embed_or_cut(core: CoreGraph, d_prime: int, cnst: Constants):
                 w_edges.append((a, b))
                 w_fake.add(wid)
 
-    kind, payload = cut_player_inner(vertices, w_edges,
-                                     list(range(len(w_edges))), cnst, relaxed=True)
+    kind, payload = cut_player_inner(vertices, w_edges, cnst, relaxed=True)
     if kind == "embed":
         return "embed", _compose(core, payload, w_fake, w_paths,
                                  d_prime, n, rounds, cnst)

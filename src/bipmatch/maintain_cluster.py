@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .constants import Constants
 from .es_tree import EsTree, INF
-from .expander_tools import Cut, ball_grow, embed_or_cut
+from .expander_tools import Cut, ball_grow, ball_layers, embed_or_cut
 from .graph_core import CoreGraph, DirectedGraph, bfs_tree, shortcut_to_simple, tree_path
 
 
@@ -107,7 +107,15 @@ class ClusterState:
             self.stats["es_scans"] += self.t_out.scan_steps + self.t_in.scan_steps
         self.emb = emb
         self.exp_vertices: set[int] = set(emb.vertices)
-        self.exp_alive: list[bool] = [True] * len(emb.edges)
+        # edge i of exp and exp_rev is emb.edges[i] and its reverse; a fake
+        # edge carries no route, but counts as damage once when it dies
+        tails, heads = [u for u, _ in emb.edges], [w for _, w in emb.edges]
+        self.exp = DirectedGraph(self.core.n, tails, heads)
+        self.exp_rev = DirectedGraph(self.core.n, heads, tails)
+        for idx in emb.fake:
+            self.exp.delete_edge(idx)
+            self.exp_rev.delete_edge(idx)
+        self.uncounted_fake = set(emb.fake)
         self.s_index: dict[int, set[int]] = {}
         for idx, eids in emb.path_edges.items():
             for eid in eids:
@@ -138,13 +146,15 @@ class ClusterState:
 
     def _kill_exp_edges(self, idxs: set[int]) -> None:
         for idx in idxs:
-            if self.exp_alive[idx]:
-                self.exp_alive[idx] = False
+            if idx in self.uncounted_fake:
+                self.uncounted_fake.discard(idx)
                 self.damage += 1
-                for eid in self.emb.path_edges.get(idx, ()):
-                    bucket = self.s_index.get(eid)
-                    if bucket is not None:
-                        bucket.discard(idx)
+            elif self.exp.alive[idx]:
+                self.exp.delete_edge(idx)
+                self.exp_rev.delete_edge(idx)
+                self.damage += 1
+                for eid in self.emb.path_edges[idx]:
+                    self.s_index[eid].discard(idx)
 
     def _remove_exp_vertices(self, verts: set[int]) -> None:
         dead_out, dead_in = [], []
@@ -156,9 +166,7 @@ class ClusterState:
                 dead_out.append(se)
             if self.t_in.g.alive[se]:
                 dead_in.append(se)
-        for idx, (u, w) in enumerate(self.emb.edges):
-            if self.exp_alive[idx] and (u in verts or w in verts):
-                affected.add(idx)
+            affected.update(self.exp.out_adj[v], self.exp.in_adj[v])
         self._kill_exp_edges(affected)
         if dead_out:
             self.t_out.delete_edges(dead_out)
@@ -232,28 +240,15 @@ class ClusterState:
                 return "from_exp", v
         return None
 
-    def _exp_adjacency(self):
-        """Live real expander arcs (idx, other end) per vertex, in idx order."""
-        out: dict[int, list[tuple[int, int]]] = {v: [] for v in self.exp_vertices}
-        inn: dict[int, list[tuple[int, int]]] = {v: [] for v in self.exp_vertices}
-        for idx, (u, w) in enumerate(self.emb.edges):
-            if not self.exp_alive[idx] or idx in self.emb.fake:
-                continue
-            if u in self.exp_vertices and w in self.exp_vertices:
-                out[u].append((idx, w))
-                inn[w].append((idx, u))
-        return out, inn
-
     def _exp_diameter_violation(self):
         if len(self.exp_vertices) < 2:
             return None
         root = min(self.exp_vertices)
-        out, inn = self._exp_adjacency()
-        near_fwd = bfs_tree(root, out, max_depth=self.d_hat)
+        near_fwd = bfs_tree(root, self.exp, max_depth=self.d_hat)
         for v in sorted(self.exp_vertices):
             if v not in near_fwd:
                 return root, v
-        near_rev = bfs_tree(root, inn, max_depth=self.d_hat)
+        near_rev = bfs_tree(root, self.exp_rev, max_depth=self.d_hat)
         for v in sorted(self.exp_vertices):
             if v not in near_rev:
                 return v, root
@@ -270,15 +265,7 @@ class ClusterState:
         core = self.core
         n_live = core.live_n
         phi = self.cnst.ball2_phi(self.n0, self.d)
-        ball = {u}
-        for _ in range(self.d + 1):
-            crossing = []
-            for v in ball:
-                it = core.out_live(v) if forward else core.in_live(v)
-                for eid in it:
-                    other = core.head[eid] if forward else core.tail[eid]
-                    if other not in ball:
-                        crossing.append(eid)
+        for _, (ball, crossing) in zip(range(self.d + 1), ball_layers(core, u, forward)):
             all_special = all(core.is_special(e) for e in crossing)
             small = min(len(ball), n_live - len(ball))
             if all_special and small > 0 and len(crossing) <= phi * small:
@@ -288,14 +275,6 @@ class ClusterState:
                 if forward:
                     return Cut(sorted(ball), rest, len(crossing), sparsity_bound=phi)
                 return Cut(rest, sorted(ball), len(crossing), sparsity_bound=phi)
-            grew = False
-            for eid in crossing:
-                other = core.head[eid] if forward else core.tail[eid]
-                if other not in ball:
-                    ball.add(other)
-                    grew = True
-            if not grew:
-                break
         raise ClusterContractError("well-structured ball growing found no sparse layer")
 
     def _cleanup(self) -> bool:
@@ -332,9 +311,7 @@ class ClusterState:
 
     def _type2_fix(self, pair) -> None:
         a, b = pair
-        edges = [e for idx, e in enumerate(self.emb.edges)
-                 if self.exp_alive[idx] and idx not in self.emb.fake]
-        cut = ball_grow(sorted(self.exp_vertices), edges, a, b, self.d_hat, self.cnst)
+        cut = ball_grow(self.exp, self.exp_vertices, a, b, self.d_hat, self.cnst)
         self.damage += cut.crossing
         self._remove_exp_vertices(set(cut.smaller()))
 
@@ -388,10 +365,9 @@ class ClusterState:
             raise AssertionError("cleanup invariant broken")
         head_v = t_in_path[:0:-1]  # x .. x' (expander vertex)
         tail_v = t_out_path[1:]    # y' (expander vertex) .. y
-        out_adj, _ = self._exp_adjacency()
         # BFS route x' -> y' inside the expander core; the arcs of a vertex
         # are in expander edge order, which sorts them by head
-        parent = bfs_tree(head_v[-1], out_adj, target=tail_v[0])
+        parent = bfs_tree(head_v[-1], self.exp, target=tail_v[0])
         if tail_v[0] not in parent:
             raise AssertionError("expander core disconnected despite cleanup")
         route = tree_path(parent, tail_v[0])[1]

@@ -239,3 +239,22 @@ def test_cli_verify_rejects_a_matching_with_a_non_edge(monkeypatch, capsys):
     assert dict(zip(header.split(","), row.split(",")))["verified"] == "NO"
     assert err.startswith("verification FAILED: random-gnp seed=3 algo=paper")
     assert "not a graph edge" in err
+
+
+def test_cli_target_caps_only_the_paper_matching(capsys):
+    rc = main(["--algo", "hk,ff,paper", "--gen", "random-gnp", "--n", "20", "--p", "0.2",
+               "--seed", "1", "--target", "3", "--verify", "--csv", "-"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    header, *rows = out.strip().splitlines()
+    sizes = {r["algo"]: int(r["matching"]) for r in
+             (dict(zip(header.split(","), row.split(","))) for row in rows)}
+    assert sizes == {"hk": 20, "ff": 20, "paper": 3}
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_cli_count_below_one_is_a_usage_error(capsys, count):
+    rc = main(["--algo", "hk", "--gen", "random-gnp", "--n", "6", "--count", count])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: --count")

@@ -8,7 +8,7 @@ from bipmatch.constants import log2c
 from bipmatch.expander_tools import (Cut, ball_grow, chain_to_balanced,
                                      construct_expander, cut_player, embed_or_cut,
                                      matching_player, sparse_to_well_structured)
-from bipmatch.graph_core import CoreGraph
+from bipmatch.graph_core import CoreGraph, DirectedGraph
 from bipmatch.oracles import enumerate_all_cuts_sparsity
 from conftest import random_core, recount_core_cut
 
@@ -16,6 +16,10 @@ from conftest import random_core, recount_core_cut
 def recount(edges, cut: Cut) -> int:
     a, b = set(cut.a), set(cut.b)
     return sum(1 for u, v in edges if u in a and v in b)
+
+
+def graph_of(n, edges) -> DirectedGraph:
+    return DirectedGraph(n, [u for u, _ in edges], [v for _, v in edges])
 
 
 def degree_max(edges) -> int:
@@ -81,7 +85,7 @@ def test_ball_grow_separates_cliques(cnst):
         edges.append((a, b))
     n = 2 * k + plen
     d = 16
-    cut = ball_grow(list(range(n)), edges, x=1, y=k + plen + 1, d=d, cnst=cnst)
+    cut = ball_grow(graph_of(n, edges), range(n), x=1, y=k + plen + 1, d=d, cnst=cnst)
     phi = cnst.ball_coeff * degree_max(edges) * log2c(n) / d
     assert recount(edges, cut) == cut.crossing
     assert cut.crossing <= phi * cut.min_side()
@@ -91,7 +95,7 @@ def test_ball_grow_separates_cliques(cnst):
 
 def test_ball_grow_rejects_equal_endpoints(cnst):
     with pytest.raises(ValueError):
-        ball_grow([0, 1], [(0, 1)], 0, 0, 8, cnst)
+        ball_grow(graph_of(2, [(0, 1)]), [0, 1], 0, 0, 8, cnst)
 
 
 def test_ball_grow_layered_dag(cnst):
@@ -106,7 +110,7 @@ def test_ball_grow_layered_dag(cnst):
                     edges.append((l * width + i, (l + 1) * width + j))
     n = layers * width
     d = 10
-    cut = ball_grow(list(range(n)), edges, 0, n - 1, d, cnst)
+    cut = ball_grow(graph_of(n, edges), range(n), 0, n - 1, d, cnst)
     phi = cnst.ball_coeff * degree_max(edges) * log2c(n) / d
     assert recount(edges, cut) == cut.crossing
     assert cut.crossing <= phi * cut.min_side()
@@ -128,6 +132,17 @@ def test_chain_two_halves_no_cross():
     cut = chain_to_balanced([], clusters, 0.0)
     assert cut.crossing == 0
     assert len(cut.a) == len(cut.b) == 4
+
+
+def test_chain_puts_a_cluster_sparse_only_backward_first():
+    # X_0 = {0, 1} sends 3 edges into the suffix, over its budget of 1, but
+    # receives none, so it goes on the left of the order and the cut is
+    # (suffix, X_0), crossed by nothing
+    edges = [(0, 2), (0, 3), (1, 2)]
+    cut = chain_to_balanced(edges, [[0, 1], [2, 3]], 1)
+    assert (cut.a, cut.b, cut.crossing) == ([2, 3], [0, 1], 0)
+    assert recount(edges, cut) == cut.crossing
+    assert len(cut.a) == len(cut.b) == 2
 
 
 def test_chain_randomized_bounds():

@@ -104,7 +104,7 @@ def test_query_adjacent_expander_pair_uses_embedding(cnst):
     assert not st.halted
     # pick an expander edge with a live embedding path and query its endpoints
     idx = next(i for i in range(len(st.emb.edges))
-               if st.exp_alive[i] and i not in st.emb.fake)
+               if st.exp.alive[i] and i not in st.emb.fake)
     x, y = st.emb.edges[idx]
     verts, eids = st.query(x, y)
     assert verts[0] == x and verts[-1] == y
@@ -147,9 +147,9 @@ def test_delete_edge_without_embedding_path_only_bookkeeps(cnst):
     verts, eids = st.query(live[0], live[-1])
     bare = [e for e in eids if not st.s_index.get(e)]
     assert bare, "instance chosen to include an embedding-free path edge"
-    exp_alive_before = sum(st.exp_alive)
+    exp_alive_before = sum(st.exp.alive)
     st.delete_edges([bare[0]])
-    assert sum(st.exp_alive) == exp_alive_before
+    assert sum(st.exp.alive) == exp_alive_before
 
 
 def test_adversarial_middle_deletions(cnst):

@@ -42,9 +42,11 @@ def test_only_directed_graph_assigns_edge_arrays():
 
 
 def _builds_lists_of_lists(node):
-    """[[] for ...]: one empty list per item, the start of an adjacency index."""
-    return (isinstance(node, ast.ListComp) and isinstance(node.elt, ast.List)
-            and not node.elt.elts)
+    """[[] for ...] or {k: [] for ...}: one empty list per item, the start of
+    an adjacency index."""
+    value = node.elt if isinstance(node, ast.ListComp) else (
+        node.value if isinstance(node, ast.DictComp) else None)
+    return isinstance(value, ast.List) and not value.elts
 
 
 def test_only_directed_graph_builds_per_vertex_lists():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import heapq
 import json
@@ -12,7 +13,7 @@ from bipmatch.constants import Constants, doubling_levels, mwu_lambda
 from bipmatch.dag_sssp import DagSssp
 from bipmatch.graph_core import (BipartiteGraph, Matching, S_ID, T_ID,
                                  WellStructuredGraph, residual_graph)
-from bipmatch.maintain_cluster import ClusterContractError
+from bipmatch.maintain_cluster import ClusterContractError, ClusterState
 from bipmatch.mwu import build_doubling_graph
 from bipmatch.oracles import dijkstra, hopcroft_karp
 from bipmatch.restricted_sssp import ReferenceSssp, RestrictedSssp
@@ -232,6 +233,45 @@ def test_edges_that_turn_long_cut_a_live_cluster():
     assert len(drain(rs, h)) == 2
     assert rs.stats["cluster_queries"] > 0
     assert rs.stats["cuts"] > cuts_at_build
+
+
+def test_cluster_contract_error_shatters_the_cluster_and_requeries(monkeypatch):
+    # the first cluster query fails its contract: the cluster is dissolved
+    # into singletons and the contracted graph is queried again
+    real = ClusterState.query
+    calls = []
+
+    def fails_once(self, *args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise ClusterContractError("no path within d*")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClusterState, "query", fails_once)
+    h = planted_core_residual(0)
+    rs = RestrictedSssp(h, delta=2, checked=True)
+    assert rs.stats["clusters_spawned"] >= 1
+    assert len(drain(rs, h)) == 2
+    assert rs.stats["emergency_shatters"] == 1
+
+
+def test_spent_phase_query_budget_rebuilds_the_cluster_before_the_next_query(monkeypatch):
+    # a per-phase query budget of 1 marks the cluster for a rebuild after
+    # every query, and the next query flushes it first
+    rebuilds = []
+    real = ClusterState.flush_rebuild
+
+    def counted(self):
+        rebuilds.append(self.needs_rebuild)
+        real(self)
+
+    monkeypatch.setattr(ClusterState, "flush_rebuild", counted)
+    h = planted_core_residual(0)
+    cnst = dataclasses.replace(Constants.desk(), n_query_coeff=1e-9)
+    rs = RestrictedSssp(h, delta=2, cnst=cnst, checked=True)
+    assert len(drain(rs, h)) == 2
+    assert rs.stats["cluster_queries"] == 2
+    assert rebuilds == [True]
 
 
 def test_full_backend_does_not_fail_while_short_supply_lasts():
