@@ -133,6 +133,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.count < 1:
         print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
         return 2
+    if args.target is not None and args.target < 0:
+        print(f"error: --target must be nonnegative, got {args.target}", file=sys.stderr)
+        return 2
 
     try:
         cnst = Constants.from_file(args.constants) if args.constants else Constants.desk()

@@ -3,9 +3,10 @@
 Every polylog threshold used by the algorithms lives here, so that the
 asymptotic analysis and runnable code can coexist.  Two presets ship:
 
-- ``Constants.desk()``   -- coefficients sized so that every branch of the
-  algorithms is actually exercised on graphs with tens to a few hundred
-  vertices.  This is the default.
+- ``Constants.desk()``   -- the default, sized for graphs with tens to a few
+  hundred vertices.  It reaches the MWU phases and both SSSP backends, but
+  no ``max_matching`` input spawns a cluster under it, so the cluster stack
+  runs in unit tests only (README, "Code no workload reaches").
 - ``Constants.asymptotic()`` -- the literal coefficients of the worst-case
   analysis.  They are astronomically conservative; at bench scale they route
   almost everything into leaf clusters and fallbacks.
@@ -65,7 +66,6 @@ class Constants:
     shrink_exp: int = 1
     d_hat_coeff: float = 64.0     # expander diameter bound d_hat_coeff*log(n)/alpha0
     n_query_coeff: float = 4096.0  # per-phase query budget coefficient
-    union_denom: float = 2.0      # cap on the union of all damage: alpha0*n''/union_denom
     c_star: float = 1.0           # leaf threshold c_star*log^leaf_exp(|X|)
     leaf_exp: int = 1
     cluster_kappa: float = 2048.0  # emitted-cut sparsity bound kappa*log^kappa_exp(n)/d*
@@ -87,7 +87,7 @@ class Constants:
                 raise ValueError(f"constant {f.name} must be nonnegative, got {v}")
         # the expander degree, and the coefficients that thresholds divide by
         for name in ("alpha0", "degree_bound", "cut_player_c", "c_cmg", "c_prime",
-                     "c_hat", "union_denom"):
+                     "c_hat"):
             if (v := getattr(self, name)) <= 0:
                 raise ValueError(f"constant {name} must be positive, got {v}")
 
@@ -112,7 +112,6 @@ class Constants:
             shrink_exp=5,
             d_hat_coeff=float(2**30),
             n_query_coeff=0.25 / 2**20,
-            union_denom=32.0,
             c_star=float(2**20),
             leaf_exp=6,
             cluster_kappa=float(2**22),
@@ -161,14 +160,14 @@ class Constants:
         denom = 2 * self.cut_player_c * self.c_cmg * log2c(n) ** 3
         return max(1, math.floor(self.expander_fake_budget(n) / denom))
 
-    def matching_congestion_cap(self, n: int, d_prime: int) -> int:
+    def matching_congestion_cap(self, d_prime: int) -> int:
         return 2 * d_prime * (log2c(2 * d_prime) + 2) + 1
 
     def embed_length_cap(self, n: int, d_prime: int) -> int:
         return (2 * d_prime + 1) * self.cut_player_dtilde(n)
 
     def embed_congestion_cap(self, n: int, d_prime: int, rounds: int) -> int:
-        return self.matching_congestion_cap(n, d_prime) * max(1, rounds) * self.cut_player_eta(n)
+        return self.matching_congestion_cap(d_prime) * max(1, rounds) * self.cut_player_eta(n)
 
     def embed_fake_cap(self, n: int, rounds: int) -> int:
         extra = 2 * self.matching_z(n) * max(1, rounds) * self.cut_player_eta(n)
@@ -190,9 +189,6 @@ class Constants:
         """Phase ends once the live vertex count drops below this."""
         frac = 1.0 - 1.0 / (self.c_hat * log2c(n_total) ** self.shrink_exp)
         return math.floor(n_phase_start * frac)
-
-    def cluster_union_cap(self, n_expander: int) -> int:
-        return max(1, math.floor(self.alpha0 * n_expander / self.union_denom))
 
     def cluster_cut_bound(self, n: int, d_star: int) -> float:
         """Module-level sparsity contract for every emitted cut.

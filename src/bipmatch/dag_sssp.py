@@ -78,7 +78,6 @@ class DagSssp(DirectedGraph):
 
         super().__init__(0)
         self.lprime: list[int] = []     # k^2-scaled modified length
-        self.is_temp: list[bool] = []
         self.out_by_class: list[dict[int, set[int]]] = []
 
         self.est: list[float] = []
@@ -133,7 +132,6 @@ class DagSssp(DirectedGraph):
         pairs = list(zip(lengths, classes))
         modified = {pair: self._modified(*pair) for pair in set(pairs)}
         self.lprime += map(modified.__getitem__, pairs)
-        self.is_temp += [temp] * k
         out_by_class = self.out_by_class
         for eid, u, cls in zip(eids, tails, classes):
             bucket = out_by_class[u].get(cls)
@@ -497,7 +495,7 @@ class DagSssp(DirectedGraph):
             for cls, eids in self.out_by_class[v].items():
                 if len(eids) <= (1 << (cls + 2)):
                     continue  # too few edges for too many heads
-                heads = {self.head[e] for e in eids if self.alive[e] and not self.is_temp[e]}
+                heads = {self.head[e] for e in eids if self.alive[e]}
                 if len(heads) > (1 << (cls + 2)):
                     raise AssertionError(
                         f"P1 violated at vertex {v} class {cls}: {len(heads)}"

@@ -11,13 +11,14 @@ caps and can verify themselves against the host graph.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
 from .constants import Constants, log2c
-from .es_tree import EsTree, INF
-from .graph_core import CoreGraph, DirectedGraph, bfs_tree, shortcut_to_simple, tree_path
+from .es_tree import EsTree
+from .graph_core import (CoreGraph, DirectedGraph, bfs_tree, dijkstra_tree,
+                         shortcut_to_simple, tree_path)
 
 
 @dataclass
@@ -496,7 +497,7 @@ def matching_player(
             for e in eids:
                 usage[e] = usage.get(e, 0) + 1
         cong = max(usage.values(), default=0)
-        cap = cnst.matching_congestion_cap(n_game, d_prime)
+        cap = cnst.matching_congestion_cap(d_prime)
         if cong > cap:
             raise AssertionError(f"matching congestion {cong} exceeds cap {cap}")
         for vs, _ in paths:
@@ -504,62 +505,39 @@ def matching_player(
                 raise AssertionError("matching path too long")
         return "paths", MatchingPaths(paths, cong, cap)
 
-    # cut extraction over the equalized lengths
-    length_of: dict[int, int] = {}
-    total = 0
+    # cut extraction over the equalized lengths: distances from a super-source
+    # with length-0 arcs to the unrouted A vertices; regular edges have length
+    # 0 and a special edge with no populated copy is unusable
+    tails, heads, length = [], [], []
     for eid in core.live_edges():
         u, v = core.tail[eid], core.head[eid]
         if u not in live_set or v not in live_set:
             continue
+        ln = 0
         if core.is_special(eid):
-            counts = level_count.get(eid)
-            lvl = None
-            if counts is not None:
-                for j in range(q + 1):
-                    if counts[j] > 0:
-                        lvl = j
-                        break
-            length_of[eid] = 2**lvl if lvl is not None else -1  # -1: unusable
-            if lvl is not None:
-                total += 2**lvl
-        else:
-            length_of[eid] = 0
-    if total > 2 * n_game:
+            lvl = next((j for j, c in enumerate(level_count[eid]) if c > 0), None)
+            ln = math.inf if lvl is None else 2**lvl
+        tails.append(u)
+        heads.append(v)
+        length.append(ln)
+    if sum(ln for ln in length if ln < math.inf) > 2 * n_game:
         raise AssertionError("doubling potential exceeded 2n")
+    sources = sorted(a_left)
+    dist = dijkstra_tree(
+        DirectedGraph(core.n + 1, tails + [core.n] * len(sources), heads + sources),
+        core.n, length + [0] * len(sources))[0]
 
-    dist: dict[int, float] = {v: INF for v in live}
-    heap = []
-    for a in sorted(a_left):
-        dist[a] = 0
-        heap.append((0, a))
-    heapq.heapify(heap)
-    while heap:
-        dcur, u = heapq.heappop(heap)
-        if dcur > dist[u]:
-            continue
-        for eid in core.out_live(u):
-            v = core.head[eid]
-            if v not in dist:
-                continue
-            ln = length_of[eid]
-            if ln < 0:
-                continue
-            nd = dcur + ln
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-
-    best_k = best_cross = None
-    for k in range(d_prime):
-        cross = 0
-        for eid in core.live_edges():
-            u, v = core.tail[eid], core.head[eid]
-            if u in dist and v in dist and dist[u] <= k < dist[v]:
-                cross += 1
-        if best_cross is None or cross < best_cross:
-            best_k, best_cross = k, cross
-    if best_k is None or best_cross is None:
-        raise AssertionError("no threshold cut scanned")
+    # edge u -> v crosses the threshold cut at k for dist[u] <= k < dist[v];
+    # take the first k in [0, d') that minimizes the crossing count
+    diff = [0] * (d_prime + 1)
+    for u, v in zip(tails, heads):
+        hi = min(dist[v], d_prime)
+        if dist[u] < hi:
+            diff[dist[u]] += 1
+            diff[hi] -= 1
+    cross = list(itertools.accumulate(diff[:d_prime]))
+    best_cross = min(cross)
+    best_k = cross.index(best_cross)
     x_side = sorted(v for v in live if dist[v] <= best_k)
     y_side = sorted(v for v in live if dist[v] > best_k)
     if best_cross > 2 * n_game / d_prime:

@@ -10,9 +10,10 @@ cut-matching game's cut, crossed by special edges only, for every failed
 attempt), then maintains two depth-bounded shortest-path trees rooted at the
 expander plus a reverse index from host edges to the expander edges
 embedded through them.  A cleanup pass runs after every batch of deletions
-and restores three facts: every live vertex reaches / is reached by the
-expander within d, the expander core stays shallow, and the damage tally
-plus the fake edges stays within the union cap.
+and restores two facts: every live vertex reaches / is reached by the
+expander within d, and the expander core stays shallow.  A phase ends when
+the cluster halts, when it shrinks below the phase's floor, when it loses
+its expander, or when it has served its query budget.
 
 Queries are answered by routing through the expander: host path to an
 expander vertex, a BFS route inside the expander expanded via the embedding,
@@ -59,7 +60,7 @@ class ClusterState:
         self.phase_active = False
         self.last_path_edges: set[int] = set()
         self.stats = {
-            "phases": 0, "cuts_emitted": 0, "queries": 0, "rebases": 0,
+            "phases": 0, "cuts_emitted": 0, "queries": 0,
             "bfs_fallbacks": 0, "type1_fixes": 0, "type2_fixes": 0,
             "es_scans": 0, "emitted_cut_edges": 0,
         }
@@ -108,22 +109,18 @@ class ClusterState:
         self.emb = emb
         self.exp_vertices: set[int] = set(emb.vertices)
         # edge i of exp and exp_rev is emb.edges[i] and its reverse; a fake
-        # edge carries no route, but counts as damage once when it dies
+        # edge carries no route, so it is deleted from the start
         tails, heads = [u for u, _ in emb.edges], [w for _, w in emb.edges]
         self.exp = DirectedGraph(self.core.n, tails, heads)
         self.exp_rev = DirectedGraph(self.core.n, heads, tails)
         for idx in emb.fake:
             self.exp.delete_edge(idx)
             self.exp_rev.delete_edge(idx)
-        self.uncounted_fake = set(emb.fake)
         self.s_index: dict[int, set[int]] = {}
         for idx, eids in emb.path_edges.items():
             for eid in eids:
                 self.s_index.setdefault(eid, set()).add(idx)
-        self.n2 = len(self.exp_vertices)
         self.shrink_floor = self.cnst.cluster_shrink_threshold(self.core.live_n, self.n0)
-        self.damage = 0
-        self.union_cap = self.cnst.cluster_union_cap(self.n2)
         self.phase_queries = 0
         self._build_trees()
 
@@ -146,13 +143,9 @@ class ClusterState:
 
     def _kill_exp_edges(self, idxs: set[int]) -> None:
         for idx in idxs:
-            if idx in self.uncounted_fake:
-                self.uncounted_fake.discard(idx)
-                self.damage += 1
-            elif self.exp.alive[idx]:
+            if self.exp.alive[idx]:
                 self.exp.delete_edge(idx)
                 self.exp_rev.delete_edge(idx)
-                self.damage += 1
                 for eid in self.emb.path_edges[idx]:
                     self.s_index[eid].discard(idx)
 
@@ -286,13 +279,6 @@ class ClusterState:
                 return False
             if not self.exp_vertices:
                 return False
-            if (len(self.exp_vertices) < max(1, self.n2 // 4)
-                    or self.damage + len(self.emb.fake) > self.union_cap):
-                # re-base the expander budget instead of abandoning the phase
-                self.stats["rebases"] += 1
-                self.n2 = len(self.exp_vertices)
-                self.damage = 0
-                self.union_cap = self.cnst.cluster_union_cap(max(1, self.n2))
             viol = self._find_tree_violation()
             if viol is not None:
                 self.stats["type1_fixes"] += 1
@@ -305,15 +291,10 @@ class ClusterState:
             pair = self._exp_diameter_violation()
             if pair is not None:
                 self.stats["type2_fixes"] += 1
-                self._type2_fix(pair)
+                cut = ball_grow(self.exp, self.exp_vertices, *pair, self.d_hat, self.cnst)
+                self._remove_exp_vertices(set(cut.smaller()))
                 continue
             return True
-
-    def _type2_fix(self, pair) -> None:
-        a, b = pair
-        cut = ball_grow(self.exp, self.exp_vertices, a, b, self.d_hat, self.cnst)
-        self.damage += cut.crossing
-        self._remove_exp_vertices(set(cut.smaller()))
 
     # ---------------------------------------------------------------- public
 

@@ -76,7 +76,7 @@ def mwu_run(h: WellStructuredGraph, delta: int, backend: str = "reference",
     paths: list[list[int]] = []
     vertex_paths: list[list[int]] = []
     budget = 8 * lam
-    while sssp.queries_done < delta_eff:
+    while sssp.stats["queries"] < delta_eff:
         res = sssp.query()
         if res is None:
             break

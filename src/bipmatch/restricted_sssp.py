@@ -101,7 +101,6 @@ class RestrictedSssp:
         self.long_threshold = self.lam / (64.0 * self.d * log2c(m))
         self.gamma = self.cnst.rsssp_gamma(n, self.d, delta)
 
-        self.queries_done = 0
         self.failed = False
         self.last_path: set[int] = set()
         self.stats = {
@@ -114,7 +113,6 @@ class RestrictedSssp:
         # approximate topological order
         self.cluster_of: list[int] = [-1] * n
         self.clusters: dict[int, ClusterRecord] = {}
-        self._next_cid = 0
         self._pending: list[int] = []
         self.dag: DagSssp | None = None
         self._skip_floor: dict[int, int] = {}
@@ -141,8 +139,7 @@ class RestrictedSssp:
                 )
 
     def _new_record(self, members: set[int], start: int) -> int:
-        cid = self._next_cid
-        self._next_cid += 1
+        cid = len(self.clusters)  # records are never removed
         rec = ClusterRecord(members=set(members), start=start, size=len(members))
         self.clusters[cid] = rec
         for v in members:
@@ -370,7 +367,7 @@ class RestrictedSssp:
         or None (FAIL)."""
         if self.failed:
             return None
-        if self.queries_done >= self.delta:
+        if self.stats["queries"] >= self.delta:
             raise ValueError("query budget exhausted")
         self._flush_rebuilds()
         if self.dag is None:
@@ -385,7 +382,6 @@ class RestrictedSssp:
                 result = self._assemble(dag_path)
             except ClusterContractError:
                 continue  # a cluster was dissolved; re-query the contracted graph
-            self.queries_done += 1
             self.stats["queries"] += 1
             verts, eids = result
             total = sum(self.length[e] for e in eids)
@@ -561,7 +557,6 @@ class ReferenceSssp:
         self.graph = graph
         self.delta = delta
         self.lam = lam if lam is not None else raw_lambda(max(2, graph.live_m), delta)
-        self.queries_done = 0
         self.failed = False
         self.last_path: set[int] = set()
         self.stats = {"queries": 0, "fails": 0}
@@ -572,7 +567,7 @@ class ReferenceSssp:
     def query(self):
         if self.failed:
             return None
-        if self.queries_done >= self.delta:
+        if self.stats["queries"] >= self.delta:
             raise ValueError("query budget exhausted")
         g = self.graph
         if len(g.tail) != self._edges_built or g.live_m != self._edges_built:
@@ -584,7 +579,6 @@ class ReferenceSssp:
             self.stats["fails"] += 1
             return None
         verts = [S_ID] + [g.head[e] for e in eids]
-        self.queries_done += 1
         self.stats["queries"] += 1
         self.last_path = set(eids)
         return verts, eids

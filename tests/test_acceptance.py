@@ -269,7 +269,7 @@ def test_criterion_5_cut_certificates():
         h = residual_graph(g, Matching(pairs[:-2] if len(pairs) > 2 else []))
         rs = RestrictedSssp(h, delta=2, checked=True)
         emissions += rs.stats["cuts"]
-        while rs.queries_done < rs.delta:
+        while rs.stats["queries"] < rs.delta:
             res = rs.query()
             if res is None:
                 break

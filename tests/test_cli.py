@@ -157,7 +157,7 @@ def test_cli_non_finite_constant_exits_2_at_load(tmp_path, capsys, name, value):
     assert err.splitlines() == [f"error: constant {name} must be finite, got {float(value)}"]
 
 
-@pytest.mark.parametrize("name", ["cut_player_c", "c_cmg", "c_prime", "c_hat", "union_denom"])
+@pytest.mark.parametrize("name", ["cut_player_c", "c_cmg", "c_prime", "c_hat"])
 def test_cli_zero_divisor_constant_exits_2_at_load(tmp_path, capsys, name):
     cfile = tmp_path / "c.txt"
     cfile.write_text(f"{name} = 0\n")
@@ -258,3 +258,16 @@ def test_cli_count_below_one_is_a_usage_error(capsys, count):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: --count")
+
+
+@pytest.mark.parametrize("algo", ["hk", "ff", "paper", "hk,paper"])
+def test_cli_negative_target_is_a_usage_error(monkeypatch, capsys, algo):
+    import bipmatch.cli as cli
+
+    runs = []
+    monkeypatch.setattr(cli, "_run_one", lambda *a: runs.append(a))
+    rc = main(["--algo", algo, "--gen", "random-gnp", "--n", "5", "--target", "-1",
+               "--csv", "-"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and runs == []
+    assert err.splitlines() == ["error: --target must be nonnegative, got -1"]

@@ -28,10 +28,10 @@ def test_non_finite_constant_rejected(name, value):
         Constants(**{name: value})
 
 
-@pytest.mark.parametrize("name", ["cut_player_c", "c_cmg", "c_prime", "c_hat", "union_denom"])
+@pytest.mark.parametrize("name", ["cut_player_c", "c_cmg", "c_prime", "c_hat"])
 def test_zero_divisor_constant_rejected(name):
-    # each is a divisor of a threshold: matching_z, cluster_d,
-    # cluster_shrink_threshold or cluster_union_cap
+    # each is a divisor of a threshold: matching_z, cluster_d or
+    # cluster_shrink_threshold
     with pytest.raises(ValueError, match=f"constant {name} must be positive"):
         Constants(**{name: 0})
 

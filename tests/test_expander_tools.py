@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -300,9 +301,7 @@ def test_matching_player_random_postconditions(cnst):
                 for eid, (x, y) in zip(eids, zip(vs, vs[1:])):
                     assert core.tail[eid] == x and core.head[eid] == y
                     usage[eid] = usage.get(eid, 0) + 1
-            assert max(usage.values(), default=0) <= cnst.matching_congestion_cap(
-                n_game, d_prime
-            )
+            assert max(usage.values(), default=0) <= cnst.matching_congestion_cap(d_prime)
         else:
             edges = [(core.tail[e], core.head[e]) for e in core.live_edges()
                      if core.tail[e] in set(res.a) | set(res.b)
@@ -440,6 +439,33 @@ def test_embed_or_cut_odd_vertex_count(cnst):
         assert sorted(payload.a + payload.b) == core.live_vertices()
     else:
         assert payload.verify(core) == []
+
+
+@pytest.mark.parametrize("seed, embeds", [(0, True), (7, False)])
+def test_embed_or_cut_relaxed_last_round(monkeypatch, cnst, seed, embeds):
+    # with c_cmg tiny the game has 2 rounds; when both end with neither an
+    # embedding nor a cut, the inner cut player runs once more without
+    # length or congestion caps, and a cut from it is a failure
+    cnst = dataclasses.replace(cnst, c_cmg=1e-9)
+    core = random_core(random.Random(seed), 8, 8, 0.4)
+    assert cnst.cmg_rounds(core.live_n) == 2
+    calls = []
+    inner = expander_tools.cut_player_inner
+
+    def spy(vertices, w_edges, cnst, relaxed=False):
+        calls.append(relaxed)
+        return inner(vertices, w_edges, cnst, relaxed=relaxed)
+
+    monkeypatch.setattr(expander_tools, "cut_player_inner", spy)
+    if embeds:
+        kind, payload = embed_or_cut(core, 4, cnst)
+        assert kind == "embed" and payload.rounds_played == 2
+        assert len(payload.vertices) == 16
+        assert payload.verify(core) == []
+    else:
+        with pytest.raises(RuntimeError, match="did not converge"):
+            embed_or_cut(core, 4, cnst)
+    assert calls[-1] is True and calls.count(True) == 1
 
 
 def test_embed_or_cut_cuts_are_crossed_only_by_special_edges(cnst):

@@ -182,7 +182,6 @@ EXPECTED = {'driver': {'gnp-40/reference': {'size': 40,
                         'stats': {'phases': 5,
                                   'cuts_emitted': 19,
                                   'queries': 16,
-                                  'rebases': 83,
                                   'bfs_fallbacks': 0,
                                   'type1_fixes': 15,
                                   'type2_fixes': 67,

@@ -47,7 +47,7 @@ def drain(sssp, h):
     once for every earlier use."""
     uses = {}
     paths = []
-    while sssp.queries_done < sssp.delta:
+    while sssp.stats["queries"] < sssp.delta:
         res = sssp.query()
         if res is None:
             break
@@ -335,7 +335,7 @@ def test_reference_fail_legality():
     g, h = near_complete_residual(rng, 12, 12, 0.4, leave=2)
     ref = ReferenceSssp(h, delta=4)
     hat = build_doubling_graph(h, ref.lam)
-    while ref.queries_done < ref.delta:
+    while ref.stats["queries"] < ref.delta:
         res = ref.query()
         if res is None:
             assert dijkstra(hat, S_ID)[T_ID] > 8 * ref.lam
@@ -443,7 +443,7 @@ def test_reference_matches_every_copy_dijkstra(data):
     # returns; copy c is one of edge c // levels, with length hat.length[c]
     hat = build_doubling_graph(h, lam)
     levels = doubling_levels(lam)
-    while ref.queries_done < ref.delta:
+    while ref.stats["queries"] < ref.delta:
         want = every_copy_dijkstra(hat, 8 * lam)
         got = ref.query()
         assert (got is None) == (want is None)
